@@ -1,4 +1,4 @@
-"""A decidable left-invariant total order on the braid groups.
+"""A decidable right-invariant total order on the braid groups.
 
 Braid words act on curve diagrams in the punctured disk; the diagram is
 encoded as a cutting sequence along the real axis, and the first deviation

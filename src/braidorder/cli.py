@@ -50,7 +50,7 @@ word_args = {"ignore_unknown_options": True}
 
 @click.group()
 def main():
-    """Decide and exhibit the left-invariant order on braid words.
+    """Decide and exhibit the right-invariant order on braid words.
 
     Words are space-separated nonzero integers: "1 -2" means the first
     generator followed by the inverse of the second.

@@ -12,8 +12,6 @@ crossings at odd values 2k+1.
 from __future__ import annotations
 
 import dataclasses
-import functools
-import itertools
 
 from .cutseq import (
     DOWN,
@@ -101,15 +99,104 @@ def cyclic_key(d: DirectedString, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _compare_keys(u: tuple[int, ...], v: tuple[int, ...]) -> int:
-    """Lexicographic comparison; proper-prefix agreement never happens for
-    walks out of one embedded diagram, so it is flagged rather than ranked."""
-    for a, b in zip(u, v):
-        if a != b:
-            return -1 if a < b else 1
-    if len(u) != len(v):
-        raise AmbiguityError("one comparison key is a proper prefix of the other")
-    return 0
+def _walk_tables(s: CuttingSequence) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Everything the comparison walks read, in one pass over the letters.
+
+    Returns ``(doubled, right, left, holes)``: the doubled value of every
+    number letter; for the arrow at q, the turning entry ``right[q]`` of a
+    walk passing it rightwards and ``left[q] = mod - right[q]`` of one
+    passing it leftwards, mod = 2(n+1), as in :func:`cyclic_key`; and the
+    positions of the holes, in order.
+
+    A walk from a crossing runs through a hole-free stretch to the nearest
+    hole, so its key is a slice of ``right`` or ``left`` between the crossing
+    and that hole.  Entries a walk reads are never 0 on a reduced sequence:
+    a crossing and a hole differ by an odd doubled amount, and two crossings
+    through one arrow would have to be equal, which the merge rule removes.
+    """
+    letters = s.letters
+    mod = 2 * (s.n + 1)
+    doubled = [0] * len(letters)
+    holes = []
+    for p, x in enumerate(letters):
+        if isinstance(x, Hole):
+            doubled[p] = 2 * x.k
+            holes.append(p)
+        elif isinstance(x, Gap):
+            doubled[p] = 2 * x.k + 1
+    right = [0] * len(letters)
+    for q, x in enumerate(letters):
+        if x is UP:
+            right[q] = (doubled[q + 1] - doubled[q - 1]) % mod
+        elif x is DOWN:
+            right[q] = (doubled[q - 1] - doubled[q + 1]) % mod
+    left = [mod - e for e in right]
+    return doubled, right, left, holes
+
+
+def _crossings(doubled: list[int], holes: list[int]) -> dict[int, list[tuple[int, int, int]]]:
+    """``(position, hole to the left, hole to the right)`` of every crossing,
+    grouped by interval.  Between two consecutive holes the letters alternate
+    arrow, crossing, ..., arrow, so the crossings sit at every second place."""
+    spots: dict[int, list[tuple[int, int, int]]] = {}
+    for lo, hi in zip(holes, holes[1:]):
+        for p in range(lo + 2, hi, 2):
+            spots.setdefault(doubled[p] // 2, []).append((p, lo, hi))
+    return spots
+
+
+def _interval_order(
+    s: CuttingSequence,
+    right: list[int],
+    left: list[int],
+    spots: list[tuple[int, int, int]],
+    k: int,
+) -> tuple[int, ...]:
+    """The positions in ``spots`` (crossings of interval k), leftmost first."""
+    if len(spots) < 2:
+        return tuple(p for p, _, _ in spots)
+    entries = []
+    for p, lo, hi in spots:
+        # the upper walk leaves on the side of the ^; its key is stored with
+        # each entry e as mod - e, which is the other reading's slice
+        if s.letters[p + 1] is UP:
+            entries.append((left[p + 1 : hi : 2], left[p - 1 : lo : -2], p))
+        else:
+            entries.append((right[p - 1 : lo : -2], right[p + 1 : hi : 2], p))
+    return _sort_crossings(entries, k)
+
+
+def _sort_crossings(entries: list[tuple[list[int], list[int], int]], k: int) -> tuple[int, ...]:
+    """Positions of crossings of interval k, leftmost first, from their keys.
+
+    Each entry is ``(upper, lower, position)`` with ``upper`` the upper walk's
+    key after every entry e is replaced by mod - e, so that sorting
+    ascending by ``(upper, lower)`` puts the larger upper key first and, on
+    upper ties, the smaller lower key first: the pairwise rule of
+    :func:`occurrence_order`.
+
+    The rule is defined for a pair unless one upper key is a proper prefix
+    of the other, or the upper keys are equal and one lower key is a prefix
+    of (or equal to) the other; such a pair raises :class:`AmbiguityError`.
+    Checking the pairs adjacent after the sort is as strong as checking all
+    of them: in lexicographic order the keys that start with a given key
+    form one contiguous block, so if key i is a prefix of key j, every key
+    sorted between them starts with key i too, and the last of those equal
+    to key i is followed by one that properly extends it.  The same holds
+    for the lower keys among entries with one upper key.
+    """
+    entries.sort()  # positions break only ties, which raise below
+    for (u, d, p), (u2, d2, q) in zip(entries, entries[1:]):
+        if u != u2:
+            if u2[: len(u)] == u:
+                raise AmbiguityError("one comparison key is a proper prefix of the other")
+        elif d == d2:
+            raise AmbiguityError(
+                f"crossings of ({k}, {k + 1}) at positions {p} and {q} have identical walks"
+            )
+        elif d2[: len(d)] == d:
+            raise AmbiguityError("one comparison key is a proper prefix of the other")
+    return tuple(p for _, _, p in entries)
 
 
 def occurrence_order(s: CuttingSequence, k: int) -> tuple[int, ...]:
@@ -118,34 +205,22 @@ def occurrence_order(s: CuttingSequence, k: int) -> tuple[int, ...]:
     Pairwise rule: the crossing whose upper walk turns more (larger key) lies
     further left; on upper ties the lower walks decide, with the larger key
     lying further right.  Two crossings agreeing on both walks would be two
-    curves through the same points, so that raises.
+    curves through the same points, so that raises, and so does a key that
+    is a proper prefix of the other, which no embedded diagram produces.
+
+    One pass over the L letters gives every arrow's turning entry in both
+    reading directions (:func:`_walk_tables`); each walk's key is then a
+    slice of one of those two lists.  The m crossings are sorted once by
+    their keys and only adjacent pairs are checked, which is as strong as
+    checking all pairs (see :func:`_sort_crossings`): O(L) for the pass and
+    O(m log m) key comparisons, plus slicing each key, which costs its
+    length, the number of arrows between its crossing and the nearest hole.
     """
     if not is_reduced(s):
         raise ValueError("input sequence must be reduced")
-    positions = [p for p, x in enumerate(s.letters) if isinstance(x, Gap) and x.k == k]
-    if len(positions) < 2:
-        return tuple(positions)
-    ups = {p: cyclic_key(up_string(s, p), s.n) for p in positions}
-    downs = {p: cyclic_key(down_string(s, p), s.n) for p in positions}
-
-    def before(p: int, q: int) -> bool:
-        cu = _compare_keys(ups[p], ups[q])
-        if cu != 0:
-            return cu > 0
-        cd = _compare_keys(downs[p], downs[q])
-        if cd != 0:
-            return cd < 0
-        raise AmbiguityError(
-            f"crossings of ({k}, {k + 1}) at positions {p} and {q} have identical walks"
-        )
-
-    order = sorted(positions, key=functools.cmp_to_key(lambda p, q: -1 if before(p, q) else 1))
-    # sorted() trusts the comparator; verify the pairwise relation really is
-    # a strict total order before anyone builds coordinates from it
-    for a, b in itertools.combinations(order, 2):
-        if not before(a, b):
-            raise AmbiguityError(f"pairwise order of the ({k}, {k + 1}) crossings is inconsistent")
-    return tuple(order)
+    doubled, right, left, holes = _walk_tables(s)
+    spots = _crossings(doubled, holes).get(k, [])
+    return _interval_order(s, right, left, spots, k)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -157,20 +232,23 @@ class Validation:
         return self.ok
 
 
-def _coordinates(s: CuttingSequence) -> dict[int, tuple[int, int]]:
-    """Exact sortable coordinate for every number letter: (doubled value,
-    rank among same-interval crossings)."""
-    coord: dict[int, tuple[int, int]] = {}
-    gap_values = set()
-    for p, x in enumerate(s.letters):
-        if isinstance(x, Hole):
-            coord[p] = (2 * x.k, 0)
-        elif isinstance(x, Gap):
-            gap_values.add(x.k)
-    for k in gap_values:
-        for rank, p in enumerate(occurrence_order(s, k)):
-            coord[p] = (2 * k + 1, rank)
-    return coord
+def _crossing_arcs(arcs: list[tuple[int, int]]) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """Two arcs ``(a, b)``, ``(c, d)`` with a < c < b < d, or None.
+
+    Sweeps the arcs by left end (ties: longer first) with a stack of the open
+    arcs, which are nested.  Arcs ending at or before the next left end
+    close; the next arc then crosses some open arc exactly when it crosses
+    the innermost one, i.e. when that one ends strictly inside it.
+    """
+    arcs.sort(key=lambda ab: (ab[0], -ab[1]))
+    stack: list[tuple[int, int]] = []
+    for c, d in arcs:
+        while stack and stack[-1][1] <= c:
+            stack.pop()
+        if stack and stack[-1][1] < d:
+            return stack[-1], (c, d)
+        stack.append((c, d))
+    return None
 
 
 def validate(s: CuttingSequence) -> Validation:
@@ -178,38 +256,53 @@ def validate(s: CuttingSequence) -> Validation:
 
     Checks that (1) an interval flanked by consecutively-visited punctures is
     never crossed, and (2) arcs on the same side of the real axis are nested
-    or disjoint, using the exact coordinates from :func:`occurrence_order`.
-    Only reduced sequences denote diagrams canonically.
+    or disjoint, using exact coordinates: (doubled value, rank among the
+    crossings of one interval), ranks from the order of
+    :func:`occurrence_order`.  Only reduced sequences denote diagrams
+    canonically.
+
+    Reducedness is checked once.  One pass then gives every walk key (as in
+    :func:`occurrence_order`), each interval's crossings are sorted once with
+    only adjacent pairs checked, and each side's arcs are checked by one
+    sweep with a stack (:func:`_crossing_arcs`): O(L log L) comparisons and
+    steps for L letters, plus slicing the keys, linear in their total length.
     """
     if not is_reduced(s):
         return Validation(False, "sequence is not reduced")
     letters = s.letters
-    crossed = {x.k for x in letters if isinstance(x, Gap)}
-    for a, b in zip(letters, letters[1:]):
-        if isinstance(a, Hole) and isinstance(b, Hole):
-            i = min(a.k, b.k)
-            if i in crossed:
+    doubled, right, left, holes = _walk_tables(s)
+    spots = _crossings(doubled, holes)
+    for p, q in zip(holes, holes[1:]):
+        if q == p + 1:
+            a, b = letters[p].k, letters[q].k
+            i = min(a, b)
+            if i in spots:
                 return Validation(
                     False,
-                    f"punctures {a.k} and {b.k} are joined directly "
+                    f"punctures {a} and {b} are joined directly "
                     f"but the interval ({i}, {i + 1}) is crossed",
                 )
+    # coordinate (doubled value, rank) packed as doubled * stride + rank
+    stride = len(letters)
+    coord = [v * stride for v in doubled]
     try:
-        coord = _coordinates(s)
+        for k, group in spots.items():
+            for rank, p in enumerate(_interval_order(s, right, left, group, k)):
+                coord[p] += rank
     except AmbiguityError as e:
         return Validation(False, f"no consistent realization: {e}")
-    arcs: dict[Arrow, list[tuple[tuple[int, int], tuple[int, int]]]] = {UP: [], DOWN: []}
-    for p, x in enumerate(letters):
+    arcs: dict[Arrow, list[tuple[int, int]]] = {UP: [], DOWN: []}
+    for q, x in enumerate(letters):
         if x is UP or x is DOWN:
-            ends = sorted((coord[p - 1], coord[p + 1]))
-            arcs[x].append((ends[0], ends[1]))
+            a, b = coord[q - 1], coord[q + 1]
+            arcs[x].append((a, b) if a < b else (b, a))
     for side, side_arcs in arcs.items():
-        side_arcs.sort()
-        for (a, b), (c, d) in itertools.combinations(side_arcs, 2):
-            if a < c < b < d:
-                return Validation(
-                    False,
-                    f"two {'upper' if side is UP else 'lower'} arcs cross: "
-                    f"({a}, {b}) and ({c}, {d})",
-                )
+        pair = _crossing_arcs(side_arcs)
+        if pair is not None:
+            (a, b), (c, d) = [[divmod(x, stride) for x in arc] for arc in pair]
+            return Validation(
+                False,
+                f"two {'upper' if side is UP else 'lower'} arcs cross: "
+                f"({a}, {b}) and ({c}, {d})",
+            )
     return Validation(True)

@@ -5,9 +5,18 @@ every joint assignment of vertical ranks to same-gap crossing points and keep
 the ones whose half-plane arcs can be drawn without intersections.  On reduced
 sequences exactly one assignment survives, and it must be the one the library
 computes.
+
+The second ground truth is a reference copy of the straightforward
+algorithm: keys read with ``up_string``/``down_string``/``cyclic_key``,
+sorted with a pairwise comparator, every pair of crossings and of arcs
+checked.  The library's one-pass, adjacent-pair and stack-sweep version must
+agree with it on orders, verdicts and error types.
 """
 
+import ast
+import functools
 import itertools
+import random
 
 import pytest
 
@@ -22,8 +31,9 @@ from braidorder import (
     validate,
     word_to_cutseq,
 )
-from braidorder.cutseq import DOWN, UP, Gap, Hole
-from braidorder.geometry import DirectedString
+from braidorder import geometry
+from braidorder.cutseq import DOWN, UP, CuttingSequence, Gap, Hole, is_reduced
+from braidorder.geometry import DirectedString, _sort_crossings
 from conftest import random_word
 
 TWO_LETTER_IMAGE = "_0 ^ 1 v _3 v _1 v 3 ^ _2 ^ _4"
@@ -176,3 +186,225 @@ def test_validation_is_falsy_with_reason():
 
 def test_ambiguity_error_is_value_error():
     assert issubclass(AmbiguityError, ValueError)
+
+
+# --- reference: every pair compared ------------------------------------------
+
+
+def _reference_compare(u, v):
+    for a, b in zip(u, v):
+        if a != b:
+            return -1 if a < b else 1
+    if len(u) != len(v):
+        raise AmbiguityError("one comparison key is a proper prefix of the other")
+    return 0
+
+
+def reference_sort(ups, downs, k):
+    """Order the crossings keyed by ``ups``/``downs`` (position -> key) with
+    the pairwise rule, then check every pair of the result."""
+
+    def before(p, q):
+        cu = _reference_compare(ups[p], ups[q])
+        if cu != 0:
+            return cu > 0
+        cd = _reference_compare(downs[p], downs[q])
+        if cd != 0:
+            return cd < 0
+        raise AmbiguityError(f"crossings of ({k}, {k + 1}) at {p} and {q} have identical walks")
+
+    order = sorted(ups, key=functools.cmp_to_key(lambda p, q: -1 if before(p, q) else 1))
+    for a, b in itertools.combinations(order, 2):
+        if not before(a, b):
+            raise AmbiguityError("pairwise order is inconsistent")
+    return tuple(order)
+
+
+def reference_occurrence_order(s, k):
+    if not is_reduced(s):
+        raise ValueError("input sequence must be reduced")
+    positions = [p for p, x in enumerate(s.letters) if isinstance(x, Gap) and x.k == k]
+    if len(positions) < 2:
+        return tuple(positions)
+    ups = {p: cyclic_key(up_string(s, p), s.n) for p in positions}
+    downs = {p: cyclic_key(down_string(s, p), s.n) for p in positions}
+    return reference_sort(ups, downs, k)
+
+
+def reference_arcs(s):
+    """Arcs per side as sorted pairs of (doubled value, rank) coordinates."""
+    coord = {}
+    for p, x in enumerate(s.letters):
+        if isinstance(x, Hole):
+            coord[p] = (2 * x.k, 0)
+    for k in {x.k for x in s.letters if isinstance(x, Gap)}:
+        for rank, p in enumerate(reference_occurrence_order(s, k)):
+            coord[p] = (2 * k + 1, rank)
+    arcs = {UP: [], DOWN: []}
+    for p, x in enumerate(s.letters):
+        if x is UP or x is DOWN:
+            arcs[x].append(tuple(sorted((coord[p - 1], coord[p + 1]))))
+    return arcs
+
+
+def reference_validate(s):
+    """(ok, reason) of the straightforward validation."""
+    if not is_reduced(s):
+        return False, "sequence is not reduced"
+    letters = s.letters
+    crossed = {x.k for x in letters if isinstance(x, Gap)}
+    for a, b in zip(letters, letters[1:]):
+        if isinstance(a, Hole) and isinstance(b, Hole) and min(a.k, b.k) in crossed:
+            i = min(a.k, b.k)
+            return False, (
+                f"punctures {a.k} and {b.k} are joined directly "
+                f"but the interval ({i}, {i + 1}) is crossed"
+            )
+    try:
+        arcs = reference_arcs(s)
+    except AmbiguityError as e:
+        return False, f"no consistent realization: {e}"
+    for side, side_arcs in arcs.items():
+        for (a, b), (c, d) in itertools.combinations(sorted(side_arcs), 2):
+            if a < c < b < d:
+                name = "upper" if side is UP else "lower"
+                return False, f"two {name} arcs cross: ({a}, {b}) and ({c}, {d})"
+    return True, None
+
+
+def perturbed(rng, s):
+    """``s`` with one to three arrows flipped or crossing values changed."""
+    letters = list(s.letters)
+    for _ in range(rng.randint(1, 3)):
+        q = rng.randrange(len(letters))
+        x = letters[q]
+        if x is UP or x is DOWN:
+            letters[q] = DOWN if x is UP else UP
+        elif isinstance(x, Gap):
+            letters[q] = Gap(rng.randint(0, s.n))
+    return CuttingSequence(s.n, tuple(letters))
+
+
+def equivalence_cases(rng, count):
+    """Images of random words at n = 2..8, every other one perturbed."""
+    for j in range(count):
+        n = 2 + j % 7
+        s = word_to_cutseq(random_word(rng, n, max_len=10))
+        yield perturbed(rng, s) if j % 2 else s
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as e:  # the error type is the outcome being compared
+        return type(e)
+
+
+def test_occurrence_order_matches_reference(rng):
+    for s in equivalence_cases(rng, 600):
+        for k in range(s.n + 1):
+            want = outcome(reference_occurrence_order, s, k)
+            assert outcome(occurrence_order, s, k) == want, (str(s), k)
+
+
+def test_validate_matches_reference(rng):
+    rejected = 0
+    for s in equivalence_cases(rng, 600):
+        ok, reason = reference_validate(s)
+        v = validate(s)
+        assert v.ok == ok, str(s)
+        if not ok:
+            rejected += 1
+            assert v.reason.split(":")[0] == reason.split(":")[0], str(s)
+    assert rejected > 100  # the perturbed half exercises the rejections
+
+
+def test_named_crossing_arcs_really_cross(rng):
+    named = 0
+    for s in equivalence_cases(rng, 600):
+        v = validate(s)
+        if v.ok or " arcs cross: " not in v.reason:
+            continue
+        side = UP if v.reason.startswith("two upper") else DOWN
+        first, second = v.reason.split(": ")[1].split(" and ")
+        (a, b), (c, d) = ast.literal_eval(first), ast.literal_eval(second)
+        assert a < c < b < d, v.reason
+        assert {(a, b), (c, d)} <= set(reference_arcs(s)[side]), v.reason
+        named += 1
+    assert named > 10
+
+
+def test_validate_checks_reducedness_once(monkeypatch):
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return is_reduced(s)
+
+    monkeypatch.setattr(geometry, "is_reduced", counted)
+    s = word_to_cutseq(parse_word("1 2 -1 2 2 1 -2 1", 3))
+    assert max(sum(1 for x in s.letters if x == Gap(k)) for k in range(4)) >= 2
+    assert validate(s).ok
+    assert len(calls) == 1
+
+
+# --- the sort-and-verify helper on synthetic keys ------------------------------
+#
+# No sequence searched so far reaches the AmbiguityError branches, so the
+# helper is tested directly.  Upper keys are given in natural form and passed
+# with every entry e replaced by MOD - e, as the helper expects.
+
+MOD = 8
+
+
+def entries(keys):
+    """Helper input from {position: (upper key, lower key)}."""
+    return [([MOD - e for e in up], list(down), p) for p, (up, down) in keys.items()]
+
+
+def test_sort_crossings_orders_by_upper_then_lower():
+    keys = {0: ((1, 2), (3,)), 1: ((2,), (1,)), 2: ((1, 3), (5,)), 3: ((1, 3), (4, 1))}
+    # larger upper key first; on the tie (1, 3), the smaller lower key first
+    assert _sort_crossings(entries(keys), 0) == (1, 3, 2, 0)
+
+
+def test_sort_crossings_rejects_prefix_pair_separated_by_other_keys():
+    # (2,) is a prefix of (2, 1, 1); (2, 1) sorts between them
+    keys = {0: ((2,), (1,)), 1: ((2, 1), (1,)), 2: ((2, 1, 1), (1,)), 3: ((3,), (1,))}
+    with pytest.raises(AmbiguityError, match="prefix"):
+        _sort_crossings(entries(keys), 0)
+    ups = {p: u for p, (u, _) in keys.items()}
+    downs = {p: d for p, (_, d) in keys.items()}
+    with pytest.raises(AmbiguityError):
+        reference_sort(ups, downs, 0)
+
+
+def test_sort_crossings_rejects_equal_uppers_with_equal_lowers():
+    keys = {4: ((2, 5), (3, 1)), 9: ((2, 5), (3, 1))}
+    with pytest.raises(AmbiguityError, match="identical walks"):
+        _sort_crossings(entries(keys), 2)
+
+
+def test_sort_crossings_rejects_equal_uppers_with_prefix_lowers():
+    keys = {4: ((2, 5), (3, 1, 6)), 7: ((2, 5), (3, 2)), 9: ((2, 5), (3,))}
+    with pytest.raises(AmbiguityError, match="prefix"):
+        _sort_crossings(entries(keys), 2)
+
+
+def test_sort_crossings_agrees_with_all_pairs_check():
+    rng = random.Random(20261018)
+    raised = 0
+    for _ in range(3000):
+        m = rng.randint(2, 7)
+        keys = {
+            p: tuple(
+                tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3))) for _ in range(2)
+            )
+            for p in rng.sample(range(50), m)
+        }
+        ups = {p: u for p, (u, _) in keys.items()}
+        downs = {p: d for p, (_, d) in keys.items()}
+        want = outcome(reference_sort, ups, downs, 0)
+        assert outcome(_sort_crossings, entries(keys), 0) == want, keys
+        raised += want is AmbiguityError
+    assert 300 < raised < 2700  # both branches well exercised
