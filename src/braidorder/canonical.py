@@ -5,9 +5,10 @@ One puncture can always be slid back along a "useful" arc of that curve - an
 arc running from the critical stretch of the real axis to some other puncture
 without touching the critical stretch in between.  Each slide strictly
 simplifies the diagram, and the generator word of the slide is read off the
-arc's shape.  Undoing the whole stack of slides spells the canonical word:
-the unique representative in which the smallest occurring generator appears
-with only one sign.
+arc's shape.  Undoing the whole stack of slides spells the canonical word.
+It is sigma-consistent (the smallest occurring generator appears with only
+one sign), and it is the same word for every word of the braid; many other
+sigma-consistent words present the same braid.
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ from __future__ import annotations
 import dataclasses
 
 from .cutseq import (
-    DOWN,
     UP,
     Arrow,
     CuttingSequence,
     Gap,
     Hole,
-    initial_hole_run,
+    _reduce_letters,
     apply_generator,
+    initial_hole_run,
     word_to_cutseq,
     sign_of,
 )
@@ -132,21 +133,22 @@ def emit_slide_word(u: UsefulSubword, s: CuttingSequence) -> BraidWord:
     """The generator word performing the slide along ``u``.
 
     The far puncture c is removed from the line, every crossing value at or
-    above c shifts down one, the arc is straightened (same-direction
-    excursions collapse, equal neighbors merge), and each remaining excursion
+    above c shifts down one, the arc is reduced as a fragment of crossings
+    and arrows (where the sequence rules only collapse same-direction
+    excursions and merge equal neighbors), and each remaining excursion
     becomes a run of generators: ascending upper runs are positive, their
     mirrors inverse, per the four-case table below.
     """
-    values = list(u.values)
-    arrows = list(u.arrows)
-    c = values[0]
-    for j in range(len(values) - 1):  # the final anchor value stays untouched
-        if values[j] >= c:
-            values[j] -= 1
-    _straighten(values, arrows)
+    c = u.values[0]
+    # the final anchor value stays untouched
+    values = [v - 1 if v >= c else v for v in u.values[:-1]] + [u.values[-1]]
+    fragment = [Gap(values[0])]
+    for arrow, v in zip(u.arrows, values[1:]):
+        fragment += [arrow, Gap(v)]
+    fragment = _reduce_letters(fragment)
     letters: list[int] = []
-    for j, arrow in enumerate(arrows):
-        a, b = values[j], values[j + 1]
+    for j in range(1, len(fragment), 2):
+        a, arrow, b = fragment[j - 1].k, fragment[j], fragment[j + 1].k
         if arrow is UP and a < b:
             letters.extend(range(a + 1, b + 1))
         elif arrow is UP:
@@ -158,25 +160,6 @@ def emit_slide_word(u: UsefulSubword, s: CuttingSequence) -> BraidWord:
     if not letters:
         raise CanonicalError("slide word came out empty")
     return BraidWord(s.n, tuple(letters))
-
-
-def _straighten(values: list[int], arrows: list[Arrow]) -> None:
-    """In-place fragment reduction: merge equal neighbors, collapse
-    same-direction excursion pairs."""
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(arrows)):
-            if values[j] == values[j + 1]:
-                del values[j + 1], arrows[j]
-                changed = True
-                break
-        else:
-            for j in range(len(arrows) - 1):
-                if arrows[j] is arrows[j + 1]:
-                    del values[j + 1], arrows[j + 1]
-                    changed = True
-                    break
 
 
 def complexity(s: CuttingSequence) -> tuple[int, int]:

@@ -6,14 +6,15 @@ import json
 
 import click
 
-from .canonical import canonical_form
+from .canonical import CanonicalError, canonical_form
 from .cutseq import (
     InvalidSequenceError,
+    RewriteError,
     format_sequence,
     parse_sequence,
     word_to_cutseq,
 )
-from .geometry import validate
+from .geometry import AmbiguityError, validate
 from .oracle import braid_equal
 from .order import Ordering, compare, sign
 from .words import WordError, format_word, parse_word
@@ -48,7 +49,18 @@ json_option = click.option("--json", "as_json", is_flag=True, help="emit JSON")
 word_args = {"ignore_unknown_options": True}
 
 
-@click.group()
+class _Group(click.Group):
+    """Reports an error that only a bug can raise in one line, exit code 3."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (RewriteError, CanonicalError, AmbiguityError) as exc:
+            click.echo(f"internal error (a bug): {exc}", err=True)
+            ctx.exit(3)
+
+
+@click.group(cls=_Group)
 def main():
     """Decide and exhibit the right-invariant order on braid words.
 

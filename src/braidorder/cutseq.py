@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Union
 
-from .words import BraidWord, SignResult
+from .words import MAX_STRANDS, BraidWord, SignResult
 
 
 class InvalidSequenceError(ValueError):
@@ -77,8 +77,8 @@ def _check_well_formed(n: int, letters: tuple[CutLetter, ...]) -> None:
     """Enforce the three structural conditions: endpoints, unique punctures,
     alternation of numbers and arrows (with value-adjacent hole pairs allowed).
     """
-    if n < 2:
-        raise InvalidSequenceError(f"need at least 2 strands, got {n}")
+    if not 2 <= n <= MAX_STRANDS:
+        raise InvalidSequenceError(f"strand count {n} out of range 2..{MAX_STRANDS}")
     if not letters or not (isinstance(letters[0], Hole) and letters[0].k == 0):
         raise InvalidSequenceError("sequence must start with _0")
     if not (isinstance(letters[-1], Hole) and letters[-1].k == n + 1):
@@ -179,6 +179,8 @@ def _format_letter(x: CutLetter) -> str:
 #                arrow) pulls into the puncture:   _k ^ k -> _k   etc.
 #   collapse:    same-direction excursions around one crossing merge:
 #                v k v -> v,  ^ k ^ -> ^
+#                (a letter that is neither a Hole nor a Gap, such as the
+#                stripped puncture of an order walk, fires this rule only)
 #   merge:       equal crossings through one arrow merge:  k ^ k -> k
 #   straighten:  the arrow between value-adjacent punctures drops:
 #                _k ^ _{k+1} -> _k _{k+1}
@@ -200,7 +202,7 @@ def _try_rule(a: CutLetter, b: CutLetter, c: CutLetter) -> list[CutLetter] | Non
         if isinstance(a, Hole) and isinstance(c, Hole) and abs(a.k - c.k) == 1:
             return [a, c]
         return None
-    if isinstance(b, Gap) and _is_arrow(a) and a is c:
+    if not isinstance(b, Hole) and _is_arrow(a) and a is c:
         return [a]
     return None
 

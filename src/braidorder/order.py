@@ -19,6 +19,7 @@ from .cutseq import (
     CuttingSequence,
     Gap,
     Hole,
+    _reduce_letters,
     is_reduced,
     sign_of,
     word_to_cutseq,
@@ -66,69 +67,25 @@ def compare(a: BraidWord, b: BraidWord) -> Ordering:
 
 
 @dataclasses.dataclass(frozen=True)
-class _Marked:
-    """A number letter with its exact doubled value; ``underlined`` marks the
-    punctures that still terminate walks."""
+class _Stripped:
+    """A puncture whose underline is stripped: the reduction rules treat it
+    like a crossing that only collapses, and walks run through it."""
 
-    doubled: int
-    underlined: bool
-
-
-def _mark(letters, strip_below: int):
-    """Convert to marked letters, un-underlining holes before ``strip_below``
-    (the leading endpoint hole at position 0 always keeps its underline)."""
-    out = []
-    for p, x in enumerate(letters):
-        if isinstance(x, Hole):
-            out.append(_Marked(2 * x.k, p == 0 or p >= strip_below))
-        elif isinstance(x, Gap):
-            out.append(_Marked(2 * x.k + 1, False))
-        else:
-            out.append(x)
-    return out
+    k: int
 
 
-def _is_arrow(x) -> bool:
-    return x is UP or x is DOWN
+def _strip_and_reduce(letters, common: int):
+    """Strip the holes before position ``common`` (the leading endpoint keeps
+    its underline) and reduce the result with the sequence rules."""
+    return _reduce_letters(
+        _Stripped(x.k) if isinstance(x, Hole) and 0 < p < common else x
+        for p, x in enumerate(letters)
+    )
 
 
-def _marked_rule(a, b, c):
-    """The reduction rules generalized to marked letters.
-
-    Value-based restatement of the sequence rules: a puncture absorbs a plain
-    neighbor half a step away (through one arrow); same-direction excursions
-    collapse around any plain value; equal adjacent plain values merge; the
-    arrow between value-adjacent punctures drops.
-    """
-    if _is_arrow(b):
-        am, cm = isinstance(a, _Marked), isinstance(c, _Marked)
-        if not (am and cm):
-            return None
-        if a.underlined and not c.underlined and abs(a.doubled - c.doubled) == 1:
-            return [a]
-        if c.underlined and not a.underlined and abs(a.doubled - c.doubled) == 1:
-            return [c]
-        if not a.underlined and not c.underlined and a.doubled == c.doubled:
-            return [a]
-        if a.underlined and c.underlined and abs(a.doubled - c.doubled) == 2:
-            return [a, c]
-        return None
-    if isinstance(b, _Marked) and not b.underlined and _is_arrow(a) and a is c:
-        return [a]
-    return None
-
-
-def _reduce_marked(items):
-    out = list(items)
-    i = 0
-    while i + 2 < len(out):
-        repl = _marked_rule(out[i], out[i + 1], out[i + 2])
-        if repl is None:
-            i += 1
-        else:
-            out[i : i + 3] = repl
-            i = max(0, i - 2)
-    return out
+def _doubled(x) -> int:
+    """A number letter's value on the doubled grid (punctures even)."""
+    return 2 * x.k + 1 if isinstance(x, Gap) else 2 * x.k
 
 
 _EAST = ("flat", 1)
@@ -137,7 +94,7 @@ _WEST = ("flat", -1)
 
 def _walk_steps(items, n):
     """Steps of the start curve segment, from the start letter to the first
-    underlined puncture after it, inclusive.  A step is either a straight
+    puncture (``Hole``) after it, inclusive.  A step is either a straight
     move along the axis, ("flat", +-1), or an excursion through the upper or
     lower half plane, (arrow, turning value)."""
     mod = 2 * (n + 1)
@@ -145,14 +102,13 @@ def _walk_steps(items, n):
     j = 0
     while True:
         x = items[j]
-        if isinstance(x, _Marked) and x.underlined and j > 0:
+        if isinstance(x, Hole) and j > 0:
             return steps
         if j + 1 >= len(items):
-            return steps  # the final letter is underlined, so unreachable
+            return steps  # the final letter is a Hole, so unreachable
         nxt = items[j + 1]
-        if _is_arrow(nxt):
-            target = items[j + 2]
-            diff = target.doubled - x.doubled
+        if isinstance(nxt, Arrow):
+            diff = _doubled(items[j + 2]) - _doubled(x)
             if nxt is DOWN:
                 diff = -diff
             rep = diff % mod
@@ -161,7 +117,7 @@ def _walk_steps(items, n):
             steps.append((nxt, rep))
             j += 2
         else:
-            steps.append(_EAST if nxt.doubled > x.doubled else _WEST)
+            steps.append(_EAST if _doubled(nxt) > _doubled(x) else _WEST)
             j += 1
 
 
@@ -210,8 +166,8 @@ def compare_sequences(s: CuttingSequence, t: CuttingSequence) -> Ordering:
             break
         common += 1
     mod = 2 * (s.n + 1)
-    pa = _walk_steps(_reduce_marked(_mark(s.letters, common)), s.n)
-    pb = _walk_steps(_reduce_marked(_mark(t.letters, common)), t.n)
+    pa = _walk_steps(_strip_and_reduce(s.letters, common), s.n)
+    pb = _walk_steps(_strip_and_reduce(t.letters, common), t.n)
     d = next((i for i, (x, y) in enumerate(zip(pa, pb)) if x != y), None)
     if d is None:
         # One walk ending where the other continues would put the same

@@ -10,6 +10,12 @@ from __future__ import annotations
 import dataclasses
 
 
+# The largest strand count accepted anywhere.  The trivial diagram alone
+# holds n + 2 letters, so a larger count is refused up front instead of
+# being allocated.
+MAX_STRANDS = 10_000
+
+
 class WordError(ValueError):
     """A braid word, or its textual form, is malformed."""
 
@@ -22,8 +28,8 @@ class BraidWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.n < 2:
-            raise WordError(f"need at least 2 strands, got {self.n}")
+        if not 2 <= self.n <= MAX_STRANDS:
+            raise WordError(f"strand count {self.n} out of range 2..{MAX_STRANDS}")
         letters = tuple(self.letters)
         for k in letters:
             if k == 0 or abs(k) > self.n - 1:

@@ -7,6 +7,11 @@ import pytest
 from braidorder import BraidWord
 
 
+# Strand-count ranges of the seeded law tests: the small regime first (its
+# draws are those of the tests before the wide one was added), then the wide.
+STRAND_REGIMES = ((2, 5), (6, 10))
+
+
 def random_word(rng, n, max_len=12, min_len=0):
     """A uniform random word on n strands with length in [min_len, max_len]."""
     length = rng.randint(min_len, max_len)

@@ -11,14 +11,21 @@ from braidorder import (
     braid_equal,
     canonical_form,
     compare,
-    is_sigma_consistent,
-    reduce as reduce_sequence,
     sign,
     validate,
     word_to_cutseq,
 )
-from braidorder.cutseq import DOWN, UP, CuttingSequence, Gap, Hole, _try_rule
+from braidorder.cutseq import (
+    DOWN,
+    UP,
+    CuttingSequence,
+    Gap,
+    Hole,
+    _try_rule,
+    reduce as reduce_sequence,
+)
 from braidorder.order import Ordering
+from braidorder.words import is_sigma_consistent
 from conftest import insert_identity, random_word
 
 
@@ -175,7 +182,7 @@ def _arcs_cross(coords, letters):
 def suite_h_occurrence_order(rng, cases, max_assignments=5000):
     """Against brute force: of all ways to stack same-gap crossings, exactly
     one avoids arc intersections, and occurrence_order finds it."""
-    from braidorder import occurrence_order
+    from braidorder.geometry import occurrence_order
 
     accepted = 0
     attempts = 0

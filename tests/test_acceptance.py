@@ -13,16 +13,14 @@ from braidorder import (
     canonical_form,
     compare,
     compare_sequences,
-    crossing_numbers,
-    enumerate_constrained,
     format_sequence,
-    format_word,
-    is_sigma_consistent,
     parse_word,
     sign,
     word_to_cutseq,
 )
+from braidorder.oracle import enumerate_constrained
 from braidorder.order import Ordering
+from braidorder.words import crossing_numbers, format_word, is_sigma_consistent
 
 
 def best_time(fn, repeats=5):

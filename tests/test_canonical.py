@@ -10,21 +10,22 @@ import pytest
 from braidorder import (
     braid_equal,
     canonical_form,
-    complexity,
     compare,
-    find_useful_subwords,
-    format_word,
-    is_sigma_consistent,
-    leftmost_useful_subword,
     parse_word,
     sign,
-    trivial_sequence,
     word_to_cutseq,
 )
-from braidorder.canonical import CanonicalError, UsefulSubword
-from braidorder.cutseq import DOWN, UP
+from braidorder.canonical import (
+    CanonicalError,
+    UsefulSubword,
+    complexity,
+    find_useful_subwords,
+    leftmost_useful_subword,
+)
+from braidorder.cutseq import DOWN, UP, trivial_sequence
 from braidorder.order import Ordering
-from conftest import insert_identity, random_word
+from braidorder.words import format_word, is_sigma_consistent
+from conftest import STRAND_REGIMES, insert_identity, random_word
 
 
 def canon(text, n):
@@ -96,30 +97,33 @@ def test_leftmost_useful_subword_prefers_the_puncture_read():
 
 
 def test_canonical_equals_input_as_braid(rng):
-    for _ in range(150):
-        n = rng.randint(2, 5)
-        word = random_word(rng, n)
-        r = canonical_form(word)
-        assert braid_equal(r.word, word)
+    for low, high in STRAND_REGIMES:
+        for _ in range(150):
+            n = rng.randint(low, high)
+            word = random_word(rng, n)
+            r = canonical_form(word)
+            assert braid_equal(r.word, word), word
 
 
 def test_canonical_is_presentation_invariant(rng):
-    for _ in range(100):
-        n = rng.randint(2, 5)
-        word = random_word(rng, n, max_len=8)
-        other = insert_identity(rng, insert_identity(rng, word))
-        assert canonical_form(word).word == canonical_form(other).word
+    for low, high in STRAND_REGIMES:
+        for _ in range(100):
+            n = rng.randint(low, high)
+            word = random_word(rng, n, max_len=8)
+            other = insert_identity(rng, insert_identity(rng, word))
+            assert canonical_form(word).word == canonical_form(other).word, word
 
 
 def test_canonical_word_is_sigma_consistent(rng):
     """The output spells its own sign: the smallest generator appears with
     one sign only, matching the sign of the braid."""
-    for _ in range(150):
-        word = random_word(rng, rng.randint(2, 5))
-        r = canonical_form(word)
-        syntactic = is_sigma_consistent(r.word)
-        assert syntactic.kind in ("trivial", "positive", "negative")
-        assert syntactic == r.sign == sign(word)
+    for low, high in STRAND_REGIMES:
+        for _ in range(150):
+            word = random_word(rng, rng.randint(low, high))
+            r = canonical_form(word)
+            syntactic = is_sigma_consistent(r.word)
+            assert syntactic.kind in ("trivial", "positive", "negative")
+            assert syntactic == r.sign == sign(word), word
 
 
 def test_canonical_respects_order_against_identity(rng):

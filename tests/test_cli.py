@@ -1,8 +1,13 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
+from braidorder import cli
+from braidorder.canonical import CanonicalError
 from braidorder.cli import main
+from braidorder.cutseq import RewriteError
+from braidorder.geometry import AmbiguityError
 
 
 def run(*args):
@@ -146,3 +151,24 @@ def test_parse_error_exits_nonzero():
 def test_strand_mismatch_exits_nonzero():
     r = run("compare", "-n", "2", "1", "2")
     assert r.exit_code == 1
+
+
+def test_too_many_strands_exits_1():
+    r = run("sign", "1000000000")
+    assert r.exit_code == 1
+    assert "out of range" in r.stderr
+    r = run("validate", "_0 ^ _99999999")
+    assert r.exit_code == 1
+    assert "out of range" in r.stderr
+
+
+@pytest.mark.parametrize("error", [RewriteError, CanonicalError, AmbiguityError])
+def test_internal_error_exits_3_with_one_line(monkeypatch, error):
+    def broken(*args, **kwargs):
+        raise error("invariant broken")
+
+    monkeypatch.setattr(cli, "canonical_form", broken)
+    r = run("canonical", "1 2")
+    assert r.exit_code == 3
+    assert r.stdout == ""
+    assert r.stderr == "internal error (a bug): invariant broken\n"

@@ -3,17 +3,24 @@ import pytest
 from braidorder import (
     CuttingSequence,
     InvalidSequenceError,
-    apply_generator,
     format_sequence,
-    initial_hole_run,
     parse_sequence,
     parse_word,
+    word_to_cutseq,
+)
+from braidorder.cutseq import (
+    DOWN,
+    UP,
+    Gap,
+    Hole,
+    apply_generator,
+    initial_hole_run,
+    is_reduced,
     reduce,
     sign_of,
     trivial_sequence,
-    word_to_cutseq,
 )
-from braidorder.cutseq import DOWN, UP, Gap, Hole, is_reduced
+from braidorder.words import MAX_STRANDS
 from conftest import random_word
 
 
@@ -50,6 +57,15 @@ def test_parse_rejects_malformed():
         parse_sequence("_0 _1 _1 _2 _3", n=2)  # duplicate hole
     with pytest.raises(InvalidSequenceError):
         parse_sequence("_1 _0 _2 _3", n=2)  # must start at the left boundary
+
+
+def test_strand_count_is_bounded():
+    assert len(trivial_sequence(MAX_STRANDS).letters) == MAX_STRANDS + 2
+    with pytest.raises(InvalidSequenceError, match="strand count"):
+        parse_sequence("_0 ^ _99999999")
+    too_many = tuple(Hole(k) for k in range(MAX_STRANDS + 3))
+    with pytest.raises(InvalidSequenceError, match="strand count"):
+        CuttingSequence(MAX_STRANDS + 1, too_many)
 
 
 def test_well_formed_requires_every_hole_once():

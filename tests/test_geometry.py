@@ -22,18 +22,21 @@ import pytest
 
 from braidorder import (
     AmbiguityError,
-    cyclic_key,
-    down_string,
-    occurrence_order,
     parse_sequence,
     parse_word,
-    up_string,
     validate,
     word_to_cutseq,
 )
 from braidorder import geometry
 from braidorder.cutseq import DOWN, UP, CuttingSequence, Gap, Hole, is_reduced
-from braidorder.geometry import DirectedString, _sort_crossings
+from braidorder.geometry import (
+    DirectedString,
+    _sort_crossings,
+    cyclic_key,
+    down_string,
+    occurrence_order,
+    up_string,
+)
 from conftest import random_word
 
 TWO_LETTER_IMAGE = "_0 ^ 1 v _3 v _1 v 3 ^ _2 ^ _4"

@@ -1,13 +1,8 @@
 import pytest
 
-from braidorder import (
-    artin_action,
-    braid_equal,
-    enumerate_constrained,
-    parse_word,
-    permutation_image,
-)
-from braidorder.oracle import ArtinAutomorphism
+from braidorder import braid_equal, parse_word
+from braidorder.oracle import ArtinAutomorphism, artin_action, enumerate_constrained
+from braidorder.words import permutation_image
 from conftest import insert_identity, random_word
 
 

@@ -7,11 +7,11 @@ from braidorder import (
     compare_sequences,
     parse_word,
     sign,
-    trivial_sequence,
     word_to_cutseq,
 )
+from braidorder.cutseq import trivial_sequence
 from braidorder.words import WordError
-from conftest import random_word
+from conftest import STRAND_REGIMES, random_word
 
 
 def w(text, n=3):
@@ -113,14 +113,15 @@ def test_comparison_routes_agree(rng):
 
 def test_comparison_routes_agree_on_shared_prefixes(rng):
     """Same, but force long common prefixes to stress the divergence walk."""
-    for _ in range(200):
-        n = rng.randint(2, 5)
-        stem = random_word(rng, n, max_len=8)
-        a = stem * random_word(rng, n, max_len=4)
-        b = stem * random_word(rng, n, max_len=4)
-        assert compare_sequences(
-            word_to_cutseq(a), word_to_cutseq(b)
-        ) is compare(a, b)
+    for low, high in STRAND_REGIMES:
+        for _ in range(200):
+            n = rng.randint(low, high)
+            stem = random_word(rng, n, max_len=8)
+            a = stem * random_word(rng, n, max_len=4)
+            b = stem * random_word(rng, n, max_len=4)
+            assert compare_sequences(
+                word_to_cutseq(a), word_to_cutseq(b)
+            ) is compare(a, b), (a, b)
 
 
 def test_ambiguity_error_not_raised_on_word_images(rng):

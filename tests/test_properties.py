@@ -19,8 +19,8 @@ def test_deep_expansion_confluence():
     """Heavier re-expansion than the bundled suite uses: up to ten undo
     steps stacked before reducing back."""
     rng = random.Random(424242)
-    from braidorder import word_to_cutseq, reduce as reduce_sequence
-    from braidorder.cutseq import CuttingSequence
+    from braidorder import word_to_cutseq
+    from braidorder.cutseq import CuttingSequence, reduce as reduce_sequence
     from conftest import random_word
 
     for _ in range(150):

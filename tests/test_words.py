@@ -1,13 +1,12 @@
 import pytest
 
-from braidorder import (
-    BraidWord,
-    WordError,
+from braidorder import BraidWord, WordError, parse_word
+from braidorder.words import (
+    MAX_STRANDS,
     crossing_numbers,
     format_word,
     free_reduce,
     is_sigma_consistent,
-    parse_word,
     permutation_image,
 )
 from conftest import random_word
@@ -45,6 +44,14 @@ def test_constructor_validates_letters():
         BraidWord(2, (2,))
     with pytest.raises(WordError):
         BraidWord(1, ())
+
+
+def test_strand_count_is_bounded():
+    assert parse_word("1", MAX_STRANDS).n == MAX_STRANDS
+    with pytest.raises(WordError, match="strand count"):
+        parse_word("", MAX_STRANDS + 1)
+    with pytest.raises(WordError, match="strand count"):
+        parse_word("", 10**9)
 
 
 def test_format_round_trip(rng):
