@@ -17,13 +17,11 @@ import dataclasses
 
 from .cutseq import (
     UP,
-    Arrow,
     CuttingSequence,
-    Gap,
-    Hole,
     _reduce_letters,
     apply_generator,
     initial_hole_run,
+    puncture_walk,
     word_to_cutseq,
     sign_of,
 )
@@ -47,13 +45,13 @@ class UsefulSubword:
     """
 
     values: tuple[int, ...]
-    arrows: tuple[Arrow, ...]
+    arrows: tuple[int, ...]
     hole_anchored: bool
     anchor: int
 
 
 def find_useful_subwords(
-    s: CuttingSequence, i: int, direction: Arrow
+    s: CuttingSequence, i: int, direction: int
 ) -> list[UsefulSubword]:
     """All arcs usable for a slide, for a sequence starting _0.._i ``direction``.
 
@@ -65,8 +63,9 @@ def find_useful_subwords(
     """
     letters = s.letters
     run = initial_hole_run(s)
-    if run != i + 1 or run >= len(letters) or letters[run] is not direction:
-        raise ValueError(f"sequence does not start _0.._{i} {direction!r}")
+    if run != i + 1 or run >= len(letters) or letters[run] != direction:
+        arrow = "^" if direction == UP else "v"
+        raise ValueError(f"sequence does not start _0.._{i} {arrow}")
     out = []
     hole_read = _read_arc(s, i, +1, i)
     if hole_read is not None:
@@ -74,8 +73,8 @@ def find_useful_subwords(
             UsefulSubword(hole_read[0], hole_read[1], hole_anchored=True, anchor=i)
         )
     for p, x in enumerate(letters):
-        if isinstance(x, Gap) and x.k == i:
-            step = 1 if letters[p + 1] is direction else -1
+        if x == 2 * i + 1:
+            step = 1 if letters[p + 1] == direction else -1
             read = _read_arc(s, p, step, i)
             if read is not None:
                 out.append(
@@ -88,26 +87,16 @@ def _read_arc(s, pos, step, i):
     """Walk from the anchor at ``pos`` until the first puncture; return
     (values from the puncture back to the anchor, arrows likewise) or None
     if the walk is unusable."""
-    letters = s.letters
-    values = [i]
-    arrows = []
-    j = pos
-    while True:
-        arrows.append(letters[j + step])
-        j += 2 * step
-        x = letters[j]
-        if isinstance(x, Hole):
-            if x.k in (i, i + 1) or x.k == s.n + 1:
-                return None
-            values.append(x.k)
-            return tuple(reversed(values)), tuple(reversed(arrows))
-        if x.k == i:
-            return None  # meets the critical stretch again
-        values.append(x.k)
+    walk = puncture_walk(s.letters, pos, step)
+    if walk[-1] in (2 * i, 2 * i + 2, 2 * s.n + 2):
+        return None
+    if 2 * i + 1 in walk[2::2]:
+        return None  # meets the critical stretch again
+    return tuple(x >> 1 for x in walk[::-2]), walk[-2::-2]
 
 
 def leftmost_useful_subword(
-    s: CuttingSequence, i: int, direction: Arrow
+    s: CuttingSequence, i: int, direction: int
 ) -> UsefulSubword:
     """The candidate whose anchor sits leftmost on the critical stretch.
 
@@ -142,16 +131,16 @@ def emit_slide_word(u: UsefulSubword, s: CuttingSequence) -> BraidWord:
     c = u.values[0]
     # the final anchor value stays untouched
     values = [v - 1 if v >= c else v for v in u.values[:-1]] + [u.values[-1]]
-    fragment = [Gap(values[0])]
+    fragment = [2 * values[0] + 1]
     for arrow, v in zip(u.arrows, values[1:]):
-        fragment += [arrow, Gap(v)]
+        fragment += [arrow, 2 * v + 1]
     fragment = _reduce_letters(fragment)
     letters: list[int] = []
     for j in range(1, len(fragment), 2):
-        a, arrow, b = fragment[j - 1].k, fragment[j], fragment[j + 1].k
-        if arrow is UP and a < b:
+        a, arrow, b = fragment[j - 1] >> 1, fragment[j], fragment[j + 1] >> 1
+        if arrow == UP and a < b:
             letters.extend(range(a + 1, b + 1))
-        elif arrow is UP:
+        elif arrow == UP:
             letters.extend(-k for k in range(a, b, -1))
         elif a < b:
             letters.extend(-k for k in range(a + 1, b + 1))
@@ -172,7 +161,7 @@ def complexity(s: CuttingSequence) -> tuple[int, int]:
     if run == len(s.letters):
         return (s.n + 2, 0)
     j = run
-    m = sum(1 for x in s.letters if isinstance(x, Gap) and x.k == j - 1)
+    m = s.letters.count(2 * j - 1)  # the crossings of (j-1, j)
     return (j, m)
 
 
@@ -199,7 +188,7 @@ def canonical_form(w: BraidWord, max_iterations: int | None = None) -> Canonical
     chi = word_to_cutseq(w)
     result_sign = sign_of(chi)
     if max_iterations is None:
-        crossings = sum(1 for x in chi.letters if isinstance(x, Gap))
+        crossings = sum(1 for x in chi.letters if x > 0 and x & 1)
         max_iterations = 10 * (1 + crossings)
     slides: list[int] = []
     iterations = 0

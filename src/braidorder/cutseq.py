@@ -11,14 +11,26 @@ generators act on it by local rewriting, which is what this module implements.
 
 ASCII encoding: tokens ``_k`` (puncture/endpoint), ``k`` (interval crossing),
 ``^`` (upper excursion), ``v`` (lower excursion), separated by spaces.
+
+Letter encoding: ``CuttingSequence.letters`` is a tuple of ints on the
+doubled grid.  The puncture k is ``2k`` (even), a crossing of (k, k+1) is
+``2k + 1`` (odd), and the arrows are ``UP = -1`` and ``DOWN = -2``.  So in a
+sequence a letter is an arrow when negative, and a number's value on the
+real axis is half of it, with ``x >> 1`` its k.  The order walk also strips
+punctures of their underline; a stripped puncture ``2k`` is ``~2k`` =
+``-2k - 1``, odd and at most -3 (only punctures k >= 1 are stripped).  It
+occurs only in the lists the walk reduces, never in a ``CuttingSequence``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Union
 
 from .words import MAX_STRANDS, BraidWord, SignResult
+
+UP = -1
+DOWN = -2
+_TOKENS = {"^": UP, "v": DOWN}
 
 
 class InvalidSequenceError(ValueError):
@@ -29,84 +41,47 @@ class RewriteError(RuntimeError):
     """The generator action produced a malformed sequence: an internal bug."""
 
 
-@dataclasses.dataclass(frozen=True)
-class Hole:
-    """Meeting of the curve with puncture k (1..n), or an endpoint (0, n+1)."""
-
-    k: int
+def _check_strands(n: int) -> None:
+    if not 2 <= n <= MAX_STRANDS:
+        raise InvalidSequenceError(f"strand count {n} out of range 2..{MAX_STRANDS}")
 
 
-@dataclasses.dataclass(frozen=True)
-class Gap:
-    """Transverse crossing of the open real interval (k, k+1)."""
-
-    k: int
-
-
-class Arrow:
-    """Excursion into one half plane.  Exactly two instances exist: UP, DOWN."""
-
-    __slots__ = ("token",)
-
-    def __init__(self, token: str):
-        self.token = token
-
-    def __repr__(self) -> str:
-        return self.token
-
-
-UP = Arrow("^")
-DOWN = Arrow("v")
-
-CutLetter = Union[Hole, Gap, Arrow]
-
-
-def _is_arrow(x: CutLetter) -> bool:
-    return x is UP or x is DOWN
-
-
-def _flip(x: CutLetter) -> CutLetter:
-    if x is UP:
-        return DOWN
-    if x is DOWN:
-        return UP
-    return x
-
-
-def _check_well_formed(n: int, letters: tuple[CutLetter, ...]) -> None:
+def _check_well_formed(n: int, letters) -> None:
     """Enforce the three structural conditions: endpoints, unique punctures,
     alternation of numbers and arrows (with value-adjacent hole pairs allowed).
     """
-    if not 2 <= n <= MAX_STRANDS:
-        raise InvalidSequenceError(f"strand count {n} out of range 2..{MAX_STRANDS}")
-    if not letters or not (isinstance(letters[0], Hole) and letters[0].k == 0):
+    _check_strands(n)
+    top = 2 * n + 2
+    if not letters or letters[0] != 0:
         raise InvalidSequenceError("sequence must start with _0")
-    if not (isinstance(letters[-1], Hole) and letters[-1].k == n + 1):
+    if letters[-1] != top:
         raise InvalidSequenceError(f"sequence must end with _{n + 1}")
     seen: set[int] = set()
     for x in letters:
-        if isinstance(x, Hole):
-            if not 0 <= x.k <= n + 1:
-                raise InvalidSequenceError(f"hole value {x.k} out of range 0..{n + 1}")
-            if x.k in seen:
-                raise InvalidSequenceError(f"hole {x.k} occurs more than once")
-            seen.add(x.k)
-        elif isinstance(x, Gap):
-            if not 0 <= x.k <= n:
-                raise InvalidSequenceError(f"gap value {x.k} out of range 0..{n}")
-        elif not _is_arrow(x):
+        if type(x) is not int or x < DOWN:
             raise InvalidSequenceError(f"not a cutting-sequence letter: {x!r}")
-    missing = set(range(n + 2)) - seen
+        if x < 0:
+            continue
+        if x & 1:
+            if x > top:
+                raise InvalidSequenceError(f"gap value {x >> 1} out of range 0..{n}")
+        elif x > top:
+            raise InvalidSequenceError(f"hole value {x >> 1} out of range 0..{n + 1}")
+        elif x in seen:
+            raise InvalidSequenceError(f"hole {x >> 1} occurs more than once")
+        else:
+            seen.add(x)
+    missing = [k for k in range(n + 2) if 2 * k not in seen]
     if missing:
-        raise InvalidSequenceError(f"missing holes: {sorted(missing)}")
+        raise InvalidSequenceError(f"missing holes: {missing}")
     for a, b in zip(letters, letters[1:]):
-        if _is_arrow(a) and _is_arrow(b):
+        if a < 0 and b < 0:
             raise InvalidSequenceError("two adjacent arrows")
-        if not _is_arrow(a) and not _is_arrow(b):
-            if not (isinstance(a, Hole) and isinstance(b, Hole) and abs(a.k - b.k) == 1):
-                raise InvalidSequenceError(
-                    f"adjacent numbers {a!r} {b!r} must be holes with adjacent values"
-                )
+        if a >= 0 and b >= 0 and (a & 1 or b & 1 or abs(a - b) != 2):
+            raise InvalidSequenceError(
+                f"adjacent numbers {_format_letter(a)} {_format_letter(b)} "
+                "must be holes with adjacent values"
+            )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,7 +89,7 @@ class CuttingSequence:
     """An immutable, structurally checked cutting sequence on n strands."""
 
     n: int
-    letters: tuple[CutLetter, ...]
+    letters: tuple[int, ...]
 
     def __post_init__(self):
         letters = tuple(self.letters)
@@ -125,38 +100,35 @@ class CuttingSequence:
         return format_sequence(self)
 
     def is_trivial(self) -> bool:
-        return len(self.letters) == self.n + 2 and all(
-            isinstance(x, Hole) for x in self.letters
-        )
+        # every hole occurs once, so n + 2 letters are holes only
+        return len(self.letters) == self.n + 2
 
 
 def trivial_sequence(n: int) -> CuttingSequence:
     """The sequence of the identity braid: _0 _1 ... _{n+1}."""
-    return CuttingSequence(n, tuple(Hole(k) for k in range(n + 2)))
+    _check_strands(n)
+    return CuttingSequence(n, tuple(range(0, 2 * n + 3, 2)))
 
 
 def parse_sequence(text: str, n: int | None = None) -> CuttingSequence:
     """Parse the ASCII encoding.  Without ``n``, infer it from the final hole."""
-    letters: list[CutLetter] = []
+    letters: list[int] = []
     for token in text.split():
-        if token == "^":
-            letters.append(UP)
-        elif token == "v":
-            letters.append(DOWN)
-        elif token.startswith("_"):
-            try:
-                letters.append(Hole(int(token[1:])))
-            except ValueError:
-                raise InvalidSequenceError(f"bad token: {token!r}") from None
-        else:
-            try:
-                letters.append(Gap(int(token)))
-            except ValueError:
-                raise InvalidSequenceError(f"bad token: {token!r}") from None
+        if token in _TOKENS:
+            letters.append(_TOKENS[token])
+            continue
+        hole = token.startswith("_")
+        try:
+            k = int(token[1:] if hole else token)
+        except ValueError:
+            raise InvalidSequenceError(f"bad token: {token!r}") from None
+        if k < 0:  # would decode to an arrow or to no letter at all
+            raise InvalidSequenceError(f"bad token: {token!r}")
+        letters.append(2 * k if hole else 2 * k + 1)
     if n is None:
-        if not letters or not isinstance(letters[-1], Hole):
+        if not letters or letters[-1] < 0 or letters[-1] & 1:
             raise InvalidSequenceError("cannot infer strand count: no final hole")
-        n = letters[-1].k - 1
+        n = (letters[-1] >> 1) - 1
     return CuttingSequence(n, tuple(letters))
 
 
@@ -164,12 +136,21 @@ def format_sequence(s: CuttingSequence) -> str:
     return " ".join(_format_letter(x) for x in s.letters)
 
 
-def _format_letter(x: CutLetter) -> str:
-    if isinstance(x, Hole):
-        return f"_{x.k}"
-    if isinstance(x, Gap):
-        return str(x.k)
-    return x.token
+def _format_letter(x: int) -> str:
+    if x < 0:
+        return "^" if x == UP else "v"
+    return str(x >> 1) if x & 1 else f"_{x >> 1}"
+
+
+def puncture_walk(letters, pos: int, step: int):
+    """The letters from ``pos`` to the first puncture after it in direction
+    ``step`` (+1 or -1), both included, in walking order.  Arrows, crossings
+    and stripped punctures are passed; both ends of a sequence are punctures,
+    so the walk always stops."""
+    j = pos + step
+    while letters[j] < 0 or letters[j] & 1:
+        j += step
+    return letters[pos : j + 1] if step > 0 else letters[j : pos + 1][::-1]
 
 
 # --- reduction -------------------------------------------------------------
@@ -179,8 +160,7 @@ def _format_letter(x: CutLetter) -> str:
 #                arrow) pulls into the puncture:   _k ^ k -> _k   etc.
 #   collapse:    same-direction excursions around one crossing merge:
 #                v k v -> v,  ^ k ^ -> ^
-#                (a letter that is neither a Hole nor a Gap, such as the
-#                stripped puncture of an order walk, fires this rule only)
+#                (a stripped puncture of an order walk fires this rule only)
 #   merge:       equal crossings through one arrow merge:  k ^ k -> k
 #   straighten:  the arrow between value-adjacent punctures drops:
 #                _k ^ _{k+1} -> _k _{k+1}
@@ -190,24 +170,25 @@ def _format_letter(x: CutLetter) -> str:
 # only fixes which intermediate words appear.
 
 
-def _try_rule(a: CutLetter, b: CutLetter, c: CutLetter) -> list[CutLetter] | None:
+def _try_rule(a: int, b: int, c: int) -> list[int] | None:
     """Return the replacement for the window (a, b, c), or None."""
-    if _is_arrow(b):
-        if isinstance(a, Hole) and isinstance(c, Gap) and a.k in (c.k, c.k + 1):
-            return [a]
-        if isinstance(a, Gap) and isinstance(c, Hole) and c.k in (a.k, a.k + 1):
-            return [c]
-        if isinstance(a, Gap) and isinstance(c, Gap) and a.k == c.k:
-            return [a]
-        if isinstance(a, Hole) and isinstance(c, Hole) and abs(a.k - c.k) == 1:
+    if b == UP or b == DOWN:
+        if a < 0 or c < 0:  # an arrow or a stripped puncture
+            return None
+        d = a - c
+        if d == 1 or d == -1:  # absorption: a puncture and a crossing
+            return [c if a & 1 else a]
+        if d == 0:  # merge of two crossings; a puncture occurs only once
+            return [a] if a & 1 else None
+        if (d == 2 or d == -2) and not a & 1:  # straighten
             return [a, c]
         return None
-    if not isinstance(b, Hole) and _is_arrow(a) and a is c:
+    if a == c and (a == UP or a == DOWN) and b & 1:  # collapse
         return [a]
     return None
 
 
-def _reduce_letters(letters) -> list[CutLetter]:
+def _reduce_letters(letters) -> list[int]:
     out = list(letters)
     i = 0
     while i + 2 < len(out):
@@ -243,41 +224,7 @@ def is_reduced(s: CuttingSequence) -> bool:
 #   * the two holes swap values, and each independently gains a detour prefix
 #     from its left neighbor and a detour suffix from its right neighbor,
 #   * arrows and all other letters pass through unchanged.
-# The inverse generator is the same pass conjugated by swapping ^ and v.
-
-
-def _low_hole_prefix(left: CutLetter, i: int) -> list[CutLetter]:
-    # detour inserted before the hole that changes value i -> i+1
-    if left is DOWN:
-        return [Gap(i - 1), UP]
-    if isinstance(left, Hole) and left.k == i - 1:
-        return [UP]
-    return []
-
-
-def _low_hole_suffix(right: CutLetter, i: int) -> list[CutLetter]:
-    if right is DOWN:
-        return [UP, Gap(i - 1)]
-    if isinstance(right, Hole) and right.k == i - 1:
-        return [UP]
-    return []
-
-
-def _high_hole_prefix(left: CutLetter, i: int) -> list[CutLetter]:
-    # detour inserted before the hole that changes value i+1 -> i
-    if left is UP:
-        return [Gap(i + 1), DOWN]
-    if isinstance(left, Hole) and left.k == i + 2:
-        return [DOWN]
-    return []
-
-
-def _high_hole_suffix(right: CutLetter, i: int) -> list[CutLetter]:
-    if right is UP:
-        return [DOWN, Gap(i + 1)]
-    if isinstance(right, Hole) and right.k == i + 2:
-        return [DOWN]
-    return []
+# The inverse generator is the same pass with ^ and v swapped.
 
 
 def apply_generator(s: CuttingSequence, i: int, sign: int = 1) -> CuttingSequence:
@@ -291,41 +238,50 @@ def apply_generator(s: CuttingSequence, i: int, sign: int = 1) -> CuttingSequenc
     if not is_reduced(s):
         raise ValueError("input sequence must be reduced")
 
-    letters: tuple[CutLetter, ...] = s.letters
-    if sign < 0:
-        letters = tuple(_flip(x) for x in letters)
-
-    out: list[CutLetter] = []
+    up, down = (UP, DOWN) if sign > 0 else (DOWN, UP)
+    # the holes i and i+1, the crossings of (i-1, i), (i, i+1) and (i+1, i+2)
+    low, high = 2 * i, 2 * i + 2
+    below, mid, above = 2 * i - 1, 2 * i + 1, 2 * i + 3
+    letters = s.letters
+    out: list[int] = []
     for pos, x in enumerate(letters):
-        if isinstance(x, Hole) and x.k == i:
-            # never first or last: the first letter is _0 (i >= 1) and the
-            # last is _{n+1} (i <= n-1), so both neighbors exist
-            left, right = letters[pos - 1], letters[pos + 1]
-            out += _low_hole_prefix(left, i)
-            out.append(Hole(i + 1))
-            out += _low_hole_suffix(right, i)
-        elif isinstance(x, Hole) and x.k == i + 1:
-            left, right = letters[pos - 1], letters[pos + 1]
-            out += _high_hole_prefix(left, i)
-            out.append(Hole(i))
-            out += _high_hole_suffix(right, i)
-        elif isinstance(x, Gap) and x.k == i:
-            left, right = letters[pos - 1], letters[pos + 1]
-            if left is DOWN and right is UP:
-                out += [Gap(i - 1), UP, Gap(i), DOWN, Gap(i + 1)]
-            elif left is UP and right is DOWN:
-                out += [Gap(i + 1), DOWN, Gap(i), UP, Gap(i - 1)]
-            else:
-                raise RewriteError(
-                    f"crossing of ({i}, {i + 1}) not flanked by opposite arrows"
-                )
-        else:
+        if x != low and x != high and x != mid:
             out.append(x)
+            continue
+        # never first or last: the first letter is _0 (i >= 1) and the last
+        # is _{n+1} (i <= n-1), so both neighbors exist
+        left, right = letters[pos - 1], letters[pos + 1]
+        if x == low:
+            # detours around the hole that changes value i -> i+1
+            if left == down:
+                out += [below, up]
+            elif left == low - 2:
+                out.append(up)
+            out.append(high)
+            if right == down:
+                out += [up, below]
+            elif right == low - 2:
+                out.append(up)
+        elif x == high:
+            # detours around the hole that changes value i+1 -> i
+            if left == up:
+                out += [above, down]
+            elif left == high + 2:
+                out.append(down)
+            out.append(low)
+            if right == up:
+                out += [down, above]
+            elif right == high + 2:
+                out.append(down)
+        elif left == down and right == up:
+            out += [below, up, mid, down, above]
+        elif left == up and right == down:
+            out += [above, down, mid, up, below]
+        else:
+            raise RewriteError(f"crossing of ({i}, {i + 1}) not flanked by opposite arrows")
 
-    if sign < 0:
-        out = [_flip(x) for x in out]
     try:
-        _check_well_formed(s.n, tuple(out))
+        _check_well_formed(s.n, out)
     except InvalidSequenceError as e:
         # the rewrite table missed a context; never continue silently
         raise RewriteError(f"generator action broke the sequence: {e}") from e
@@ -344,7 +300,7 @@ def initial_hole_run(s: CuttingSequence) -> int:
     """Length of the maximal initial run of holes (their values are 0,1,2,...)."""
     run = 0
     for x in s.letters:
-        if not isinstance(x, Hole):
+        if x < 0 or x & 1:
             break
         run += 1
     return run
@@ -363,8 +319,8 @@ def sign_of(s: CuttingSequence) -> SignResult:
     if run == len(s.letters):
         return SignResult("trivial")
     nxt = s.letters[run]
-    if nxt is UP:
+    if nxt == UP:
         return SignResult("positive", run)
-    if nxt is DOWN:
+    if nxt == DOWN:
         return SignResult("negative", run)
     raise RewriteError("a number directly follows the hole run")  # unreachable

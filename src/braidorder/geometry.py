@@ -4,24 +4,16 @@ A reduced cutting sequence does not say in which order multiple crossings of
 the same interval (k, k+1) sit on the real axis.  That order is forced by the
 requirement that the curves be disjoint: starting at each crossing, walk away
 through the upper half plane (and, for ties, the lower one) and compare the
-walks' turning behavior.  Exact half-integer arithmetic throughout: every
-coordinate is stored doubled, so punctures sit at even values 2k and interval
-crossings at odd values 2k+1.
+walks' turning behavior.  Exact half-integer arithmetic throughout: the
+letters are already on the doubled grid, punctures at even values 2k and
+interval crossings at odd values 2k+1 (see :mod:`braidorder.cutseq`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from .cutseq import (
-    DOWN,
-    UP,
-    Arrow,
-    CuttingSequence,
-    Gap,
-    Hole,
-    is_reduced,
-)
+from .cutseq import DOWN, UP, CuttingSequence, is_reduced, puncture_walk
 
 
 class AmbiguityError(ValueError):
@@ -38,14 +30,14 @@ class DirectedString:
     """
 
     doubled: tuple[int, ...]
-    arrows: tuple[Arrow, ...]
+    arrows: tuple[int, ...]
     anchor: int
 
 
-def _read_string(s: CuttingSequence, pos: int, want: Arrow) -> DirectedString:
+def _read_string(s: CuttingSequence, pos: int, want: int) -> DirectedString:
     letters = s.letters
     x = letters[pos]
-    if not isinstance(x, Gap):
+    if x < 0 or not x & 1:
         raise ValueError(f"position {pos} is not an interval crossing")
     # a crossing in a reduced sequence is flanked by one ^ and one v; read in
     # the direction of the requested one
@@ -55,17 +47,8 @@ def _read_string(s: CuttingSequence, pos: int, want: Arrow) -> DirectedString:
         step = -1
     else:
         raise ValueError("crossing not flanked by opposite arrows; sequence not reduced?")
-    doubled = [2 * x.k + 1]
-    arrows: list[Arrow] = []
-    j = pos
-    while True:
-        arrows.append(letters[j + step])
-        j += 2 * step
-        y = letters[j]
-        if isinstance(y, Hole):
-            doubled.append(2 * y.k)
-            return DirectedString(tuple(doubled), tuple(arrows), pos)
-        doubled.append(2 * y.k + 1)
+    walk = puncture_walk(letters, pos, step)
+    return DirectedString(walk[::2], walk[1::2], pos)
 
 
 def up_string(s: CuttingSequence, pos: int) -> DirectedString:
@@ -90,7 +73,7 @@ def cyclic_key(d: DirectedString, n: int) -> tuple[int, ...]:
     out = []
     for j, arrow in enumerate(d.arrows):
         diff = d.doubled[j + 1] - d.doubled[j]
-        if arrow is DOWN:
+        if arrow == DOWN:
             diff = -diff
         rep = diff % mod
         if rep == 0:
@@ -99,14 +82,13 @@ def cyclic_key(d: DirectedString, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _walk_tables(s: CuttingSequence) -> tuple[list[int], list[int], list[int], list[int]]:
+def _walk_tables(s: CuttingSequence) -> tuple[list[int], list[int], list[int]]:
     """Everything the comparison walks read, in one pass over the letters.
 
-    Returns ``(doubled, right, left, holes)``: the doubled value of every
-    number letter; for the arrow at q, the turning entry ``right[q]`` of a
-    walk passing it rightwards and ``left[q] = mod - right[q]`` of one
-    passing it leftwards, mod = 2(n+1), as in :func:`cyclic_key`; and the
-    positions of the holes, in order.
+    Returns ``(right, left, holes)``: for the arrow at q, the turning entry
+    ``right[q]`` of a walk passing it rightwards and ``left[q] = mod -
+    right[q]`` of one passing it leftwards, mod = 2(n+1), as in
+    :func:`cyclic_key`; and the positions of the holes, in order.
 
     A walk from a crossing runs through a hole-free stretch to the nearest
     hole, so its key is a slice of ``right`` or ``left`` between the crossing
@@ -116,32 +98,27 @@ def _walk_tables(s: CuttingSequence) -> tuple[list[int], list[int], list[int], l
     """
     letters = s.letters
     mod = 2 * (s.n + 1)
-    doubled = [0] * len(letters)
     holes = []
-    for p, x in enumerate(letters):
-        if isinstance(x, Hole):
-            doubled[p] = 2 * x.k
-            holes.append(p)
-        elif isinstance(x, Gap):
-            doubled[p] = 2 * x.k + 1
     right = [0] * len(letters)
     for q, x in enumerate(letters):
-        if x is UP:
-            right[q] = (doubled[q + 1] - doubled[q - 1]) % mod
-        elif x is DOWN:
-            right[q] = (doubled[q - 1] - doubled[q + 1]) % mod
+        if x == UP:
+            right[q] = (letters[q + 1] - letters[q - 1]) % mod
+        elif x == DOWN:
+            right[q] = (letters[q - 1] - letters[q + 1]) % mod
+        elif not x & 1:
+            holes.append(q)
     left = [mod - e for e in right]
-    return doubled, right, left, holes
+    return right, left, holes
 
 
-def _crossings(doubled: list[int], holes: list[int]) -> dict[int, list[tuple[int, int, int]]]:
+def _crossings(letters, holes: list[int]) -> dict[int, list[tuple[int, int, int]]]:
     """``(position, hole to the left, hole to the right)`` of every crossing,
     grouped by interval.  Between two consecutive holes the letters alternate
     arrow, crossing, ..., arrow, so the crossings sit at every second place."""
     spots: dict[int, list[tuple[int, int, int]]] = {}
     for lo, hi in zip(holes, holes[1:]):
         for p in range(lo + 2, hi, 2):
-            spots.setdefault(doubled[p] // 2, []).append((p, lo, hi))
+            spots.setdefault(letters[p] >> 1, []).append((p, lo, hi))
     return spots
 
 
@@ -159,7 +136,7 @@ def _interval_order(
     for p, lo, hi in spots:
         # the upper walk leaves on the side of the ^; its key is stored with
         # each entry e as mod - e, which is the other reading's slice
-        if s.letters[p + 1] is UP:
+        if s.letters[p + 1] == UP:
             entries.append((left[p + 1 : hi : 2], left[p - 1 : lo : -2], p))
         else:
             entries.append((right[p - 1 : lo : -2], right[p + 1 : hi : 2], p))
@@ -200,7 +177,7 @@ def _sort_crossings(entries: list[tuple[list[int], list[int], int]], k: int) -> 
 
 
 def occurrence_order(s: CuttingSequence, k: int) -> tuple[int, ...]:
-    """Positions of the Gap(k) letters, leftmost real coordinate first.
+    """Positions of the crossings of (k, k+1), leftmost real coordinate first.
 
     Pairwise rule: the crossing whose upper walk turns more (larger key) lies
     further left; on upper ties the lower walks decide, with the larger key
@@ -218,8 +195,8 @@ def occurrence_order(s: CuttingSequence, k: int) -> tuple[int, ...]:
     """
     if not is_reduced(s):
         raise ValueError("input sequence must be reduced")
-    doubled, right, left, holes = _walk_tables(s)
-    spots = _crossings(doubled, holes).get(k, [])
+    right, left, holes = _walk_tables(s)
+    spots = _crossings(s.letters, holes).get(k, [])
     return _interval_order(s, right, left, spots, k)
 
 
@@ -270,11 +247,11 @@ def validate(s: CuttingSequence) -> Validation:
     if not is_reduced(s):
         return Validation(False, "sequence is not reduced")
     letters = s.letters
-    doubled, right, left, holes = _walk_tables(s)
-    spots = _crossings(doubled, holes)
+    right, left, holes = _walk_tables(s)
+    spots = _crossings(letters, holes)
     for p, q in zip(holes, holes[1:]):
         if q == p + 1:
-            a, b = letters[p].k, letters[q].k
+            a, b = letters[p] >> 1, letters[q] >> 1
             i = min(a, b)
             if i in spots:
                 return Validation(
@@ -284,16 +261,16 @@ def validate(s: CuttingSequence) -> Validation:
                 )
     # coordinate (doubled value, rank) packed as doubled * stride + rank
     stride = len(letters)
-    coord = [v * stride for v in doubled]
+    coord = [v * stride for v in letters]
     try:
         for k, group in spots.items():
             for rank, p in enumerate(_interval_order(s, right, left, group, k)):
                 coord[p] += rank
     except AmbiguityError as e:
         return Validation(False, f"no consistent realization: {e}")
-    arcs: dict[Arrow, list[tuple[int, int]]] = {UP: [], DOWN: []}
+    arcs: dict[int, list[tuple[int, int]]] = {UP: [], DOWN: []}
     for q, x in enumerate(letters):
-        if x is UP or x is DOWN:
+        if x < 0:
             a, b = coord[q - 1], coord[q + 1]
             arcs[x].append((a, b) if a < b else (b, a))
     for side, side_arcs in arcs.items():
@@ -302,7 +279,7 @@ def validate(s: CuttingSequence) -> Validation:
             (a, b), (c, d) = [[divmod(x, stride) for x in arc] for arc in pair]
             return Validation(
                 False,
-                f"two {'upper' if side is UP else 'lower'} arcs cross: "
+                f"two {'upper' if side == UP else 'lower'} arcs cross: "
                 f"({a}, {b}) and ({c}, {d})",
             )
     return Validation(True)

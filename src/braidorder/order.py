@@ -9,18 +9,15 @@ sequences, by comparing how the two diagrams first branch apart.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 
 from .cutseq import (
     DOWN,
     UP,
-    Arrow,
     CuttingSequence,
-    Gap,
-    Hole,
     _reduce_letters,
     is_reduced,
+    puncture_walk,
     sign_of,
     word_to_cutseq,
 )
@@ -66,26 +63,15 @@ def compare(a: BraidWord, b: BraidWord) -> Ordering:
 # guessing; the suite cross-validates against compare() on random pairs.
 
 
-@dataclasses.dataclass(frozen=True)
-class _Stripped:
-    """A puncture whose underline is stripped: the reduction rules treat it
-    like a crossing that only collapses, and walks run through it."""
-
-    k: int
-
-
 def _strip_and_reduce(letters, common: int):
     """Strip the holes before position ``common`` (the leading endpoint keeps
-    its underline) and reduce the result with the sequence rules."""
+    its underline): a stripped puncture x is stored as ~x, which the reduction
+    rules treat like a crossing that only collapses and walks run through.
+    Reduce the result with the sequence rules."""
     return _reduce_letters(
-        _Stripped(x.k) if isinstance(x, Hole) and 0 < p < common else x
+        ~x if 0 < p < common and x >= 0 and not x & 1 else x
         for p, x in enumerate(letters)
     )
-
-
-def _doubled(x) -> int:
-    """A number letter's value on the doubled grid (punctures even)."""
-    return 2 * x.k + 1 if isinstance(x, Gap) else 2 * x.k
 
 
 _EAST = ("flat", 1)
@@ -94,22 +80,19 @@ _WEST = ("flat", -1)
 
 def _walk_steps(items, n):
     """Steps of the start curve segment, from the start letter to the first
-    puncture (``Hole``) after it, inclusive.  A step is either a straight
-    move along the axis, ("flat", +-1), or an excursion through the upper or
-    lower half plane, (arrow, turning value)."""
+    puncture after it, inclusive.  A step is either a straight move along the
+    axis, ("flat", +-1), or an excursion through the upper or lower half
+    plane, (arrow, turning value)."""
     mod = 2 * (n + 1)
+    # stripped punctures read as their values; then only arrows are negative
+    walk = [~x if x < DOWN else x for x in puncture_walk(items, 0, 1)]
     steps = []
     j = 0
-    while True:
-        x = items[j]
-        if isinstance(x, Hole) and j > 0:
-            return steps
-        if j + 1 >= len(items):
-            return steps  # the final letter is a Hole, so unreachable
-        nxt = items[j + 1]
-        if isinstance(nxt, Arrow):
-            diff = _doubled(items[j + 2]) - _doubled(x)
-            if nxt is DOWN:
+    while j + 1 < len(walk):
+        x, nxt = walk[j], walk[j + 1]
+        if nxt < 0:
+            diff = walk[j + 2] - x
+            if nxt == DOWN:
                 diff = -diff
             rep = diff % mod
             if rep == 0:
@@ -117,8 +100,9 @@ def _walk_steps(items, n):
             steps.append((nxt, rep))
             j += 2
         else:
-            steps.append(_EAST if _doubled(nxt) > _doubled(x) else _WEST)
+            steps.append(_EAST if nxt > x else _WEST)
             j += 1
+    return steps
 
 
 def _ray(step, mod):
@@ -127,9 +111,9 @@ def _ray(step, mod):
     (larger = reaching further, cyclically), mod = west, (mod, 2*mod) = into
     the lower half plane."""
     kind, value = step
-    if kind is UP:
+    if kind == UP:
         return value
-    if kind is DOWN:
+    if kind == DOWN:
         return mod + value
     return 0 if value > 0 else mod
 
@@ -137,9 +121,9 @@ def _ray(step, mod):
 def _back_ray(step, mod):
     """The direction pointing back along an arrived step."""
     kind, value = step
-    if kind is UP:
+    if kind == UP:
         return mod - value
-    if kind is DOWN:
+    if kind == DOWN:
         return 2 * mod - value
     return mod if value > 0 else 0
 
@@ -162,7 +146,7 @@ def compare_sequences(s: CuttingSequence, t: CuttingSequence) -> Ordering:
         return Ordering.EQUAL
     common = 0
     for x, y in zip(s.letters, t.letters):
-        if x is not y and x != y:
+        if x != y:
             break
         common += 1
     mod = 2 * (s.n + 1)

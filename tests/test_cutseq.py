@@ -11,8 +11,6 @@ from braidorder import (
 from braidorder.cutseq import (
     DOWN,
     UP,
-    Gap,
-    Hole,
     apply_generator,
     initial_hole_run,
     is_reduced,
@@ -63,14 +61,63 @@ def test_strand_count_is_bounded():
     assert len(trivial_sequence(MAX_STRANDS).letters) == MAX_STRANDS + 2
     with pytest.raises(InvalidSequenceError, match="strand count"):
         parse_sequence("_0 ^ _99999999")
-    too_many = tuple(Hole(k) for k in range(MAX_STRANDS + 3))
+    too_many = tuple(range(0, 2 * MAX_STRANDS + 5, 2))
     with pytest.raises(InvalidSequenceError, match="strand count"):
         CuttingSequence(MAX_STRANDS + 1, too_many)
 
 
+def test_trivial_sequence_checks_the_bound_first():
+    # the bound is checked before n + 2 letters are built
+    with pytest.raises(InvalidSequenceError, match="strand count"):
+        trivial_sequence(10**9)
+
+
+def test_letters_are_ints_on_the_doubled_grid():
+    s = parse_sequence("_0 ^ _2 _1 v _3")
+    assert s.letters == (0, UP, 4, 2, DOWN, 6)
+    assert UP < 0 and DOWN < 0
+    crossings = parse_sequence("_0 ^ 1 v _3 v _1 v 3 ^ _2 ^ _4").letters[2::6]
+    assert crossings == (3, 7)  # the crossings of (1, 2) and (3, 4)
+
+
 def test_well_formed_requires_every_hole_once():
     with pytest.raises(InvalidSequenceError):
-        CuttingSequence(2, (Hole(0), Gap(1), Hole(3)))
+        CuttingSequence(2, (0, 3, 6))
+
+
+def test_constructor_rejects_a_str_letter():
+    with pytest.raises(InvalidSequenceError, match="not a cutting-sequence letter"):
+        CuttingSequence(2, (0, "^", 4, 2, DOWN, 6))
+
+
+def test_constructor_rejects_a_none_letter():
+    with pytest.raises(InvalidSequenceError):
+        CuttingSequence(2, (0, None, 6))
+    with pytest.raises(InvalidSequenceError, match="not a cutting-sequence letter"):
+        CuttingSequence(2, (0, UP, 4, None, DOWN, 6))
+
+
+def test_constructor_rejects_a_float_letter():
+    with pytest.raises(InvalidSequenceError, match="not a cutting-sequence letter"):
+        CuttingSequence(2, (0, UP, 4.0, 2, DOWN, 6))
+
+
+def test_constructor_rejects_an_int_below_the_sentinels():
+    lowest = min(UP, DOWN)
+    for x in (lowest - 1, lowest - 2, -(10**9)):
+        with pytest.raises(InvalidSequenceError, match="not a cutting-sequence letter"):
+            CuttingSequence(2, (0, UP, 4, x, DOWN, 6))
+
+
+def test_parse_refuses_negative_crossing_token():
+    # 2 * (-1) + 1 would be the UP sentinel
+    with pytest.raises(InvalidSequenceError, match="bad token"):
+        parse_sequence("_0 v -1 ^ _1 _2 _3")
+
+
+def test_parse_refuses_negative_puncture_token():
+    with pytest.raises(InvalidSequenceError, match="bad token"):
+        parse_sequence("_0 _-1 _1 _2 _3", n=2)
 
 
 def test_arrow_between_value_adjacent_holes_is_reducible_not_invalid():
@@ -145,5 +192,5 @@ def test_sign_of_sequences():
 def test_hole_and_gap_letters_print_distinctly():
     assert format_sequence(seq_of("1 1", 3)).count("_") == 5
     letters = seq_of("1 1", 3).letters
-    assert Gap(2) in letters and Gap(0) in letters
+    assert 5 in letters and 1 in letters  # the crossings of (2, 3) and (0, 1)
     assert letters.count(UP) == 2 and letters.count(DOWN) == 2

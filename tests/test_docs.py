@@ -1,8 +1,10 @@
 """The README and the benchmark's layer map against the code they describe."""
 
+import contextlib
 import importlib
 import importlib.util
 import inspect
+import io
 import re
 import shlex
 from pathlib import Path
@@ -42,6 +44,22 @@ def test_readme_command_lines_print_what_they_say():
             assert out.startswith(expected[:-3]), line
         else:
             assert out == expected, line
+
+
+def test_readme_library_block_prints_what_it_says():
+    """The README Python block runs, and each ``print(...)  # expected``
+    line prints what its comment says."""
+    block = re.search(r"## Library.*?```python\n(.*?)```", README, re.S).group(1)
+    expected = [
+        line.partition("#")[2].strip()
+        for line in block.splitlines()
+        if line.startswith("print(")
+    ]
+    assert len(expected) >= 4
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == expected
 
 
 def test_benchmark_layers_resolve_to_library_functions():

@@ -11,9 +11,13 @@ algorithm: keys read with ``up_string``/``down_string``/``cyclic_key``,
 sorted with a pairwise comparator, every pair of crossings and of arcs
 checked.  The library's one-pass, adjacent-pair and stack-sweep version must
 agree with it on orders, verdicts and error types.
+
+The oracle and the reference read letters as ``Hole(k)``/``Gap(k)`` objects
+and arrows, converted from the library's ints by :func:`as_objects`.
 """
 
 import ast
+import dataclasses
 import functools
 import itertools
 import random
@@ -28,7 +32,7 @@ from braidorder import (
     word_to_cutseq,
 )
 from braidorder import geometry
-from braidorder.cutseq import DOWN, UP, CuttingSequence, Gap, Hole, is_reduced
+from braidorder.cutseq import DOWN, UP, CuttingSequence, is_reduced
 from braidorder.geometry import (
     DirectedString,
     _sort_crossings,
@@ -40,6 +44,25 @@ from braidorder.geometry import (
 from conftest import random_word
 
 TWO_LETTER_IMAGE = "_0 ^ 1 v _3 v _1 v 3 ^ _2 ^ _4"
+
+
+@dataclasses.dataclass(frozen=True)
+class Hole:
+    k: int
+
+
+@dataclasses.dataclass(frozen=True)
+class Gap:
+    k: int
+
+
+def as_objects(letters):
+    """Puncture 2k -> Hole(k), crossing 2k+1 -> Gap(k); arrows stay."""
+    return [x if x < 0 else (Gap if x & 1 else Hole)(x >> 1) for x in letters]
+
+
+def as_ints(objects):
+    return tuple(x if isinstance(x, int) else 2 * x.k + isinstance(x, Gap) for x in objects)
 
 
 def test_up_and_down_strings_on_worked_example():
@@ -74,11 +97,11 @@ def _arcs_cross(coords, letters):
     upper, lower = [], []
     for p in range(1, len(letters) - 1):
         x = letters[p]
-        if not (x is UP or x is DOWN):
+        if not (x == UP or x == DOWN):
             continue
         a, b = coords[p - 1], coords[p + 1]
         lo, hi = min(a, b), max(a, b)
-        (upper if x is UP else lower).append((lo, hi))
+        (upper if x == UP else lower).append((lo, hi))
     for side in (upper, lower):
         for (a, b), (c, d) in itertools.combinations(side, 2):
             if a < c < b < d or c < a < d < b:
@@ -93,8 +116,9 @@ def exhaustive_orders(s):
     of gap k with rank r at (2k + 1, r).  Arcs join consecutive letters
     through the half plane named by the arrow between them.
     """
+    letters = as_objects(s.letters)
     occs = {}
-    for p, x in enumerate(s.letters):
+    for p, x in enumerate(letters):
         if isinstance(x, Gap):
             occs.setdefault(x.k, []).append(p)
     keys = sorted(occs)
@@ -106,10 +130,10 @@ def exhaustive_orders(s):
         for k, perm in zip(keys, ranks):
             for idx, p in enumerate(occs[k]):
                 coords[p] = (2 * k + 1, perm[idx])
-        for p, x in enumerate(s.letters):
+        for p, x in enumerate(letters):
             if isinstance(x, Hole):
                 coords[p] = (2 * x.k, 0)
-        if not _arcs_cross(coords, s.letters):
+        if not _arcs_cross(coords, letters):
             good.append(
                 {
                     k: tuple(sorted(occs[k], key=lambda p: coords[p][1]))
@@ -122,7 +146,7 @@ def exhaustive_orders(s):
 def assignment_count(s):
     total = 1
     counts = {}
-    for x in s.letters:
+    for x in as_objects(s.letters):
         if isinstance(x, Gap):
             counts[x.k] = counts.get(x.k, 0) + 1
     for c in counts.values():
@@ -226,7 +250,8 @@ def reference_sort(ups, downs, k):
 def reference_occurrence_order(s, k):
     if not is_reduced(s):
         raise ValueError("input sequence must be reduced")
-    positions = [p for p, x in enumerate(s.letters) if isinstance(x, Gap) and x.k == k]
+    letters = as_objects(s.letters)
+    positions = [p for p, x in enumerate(letters) if isinstance(x, Gap) and x.k == k]
     if len(positions) < 2:
         return tuple(positions)
     ups = {p: cyclic_key(up_string(s, p), s.n) for p in positions}
@@ -236,16 +261,17 @@ def reference_occurrence_order(s, k):
 
 def reference_arcs(s):
     """Arcs per side as sorted pairs of (doubled value, rank) coordinates."""
+    letters = as_objects(s.letters)
     coord = {}
-    for p, x in enumerate(s.letters):
+    for p, x in enumerate(letters):
         if isinstance(x, Hole):
             coord[p] = (2 * x.k, 0)
-    for k in {x.k for x in s.letters if isinstance(x, Gap)}:
+    for k in {x.k for x in letters if isinstance(x, Gap)}:
         for rank, p in enumerate(reference_occurrence_order(s, k)):
             coord[p] = (2 * k + 1, rank)
     arcs = {UP: [], DOWN: []}
-    for p, x in enumerate(s.letters):
-        if x is UP or x is DOWN:
+    for p, x in enumerate(letters):
+        if x == UP or x == DOWN:
             arcs[x].append(tuple(sorted((coord[p - 1], coord[p + 1]))))
     return arcs
 
@@ -254,7 +280,7 @@ def reference_validate(s):
     """(ok, reason) of the straightforward validation."""
     if not is_reduced(s):
         return False, "sequence is not reduced"
-    letters = s.letters
+    letters = as_objects(s.letters)
     crossed = {x.k for x in letters if isinstance(x, Gap)}
     for a, b in zip(letters, letters[1:]):
         if isinstance(a, Hole) and isinstance(b, Hole) and min(a.k, b.k) in crossed:
@@ -270,22 +296,22 @@ def reference_validate(s):
     for side, side_arcs in arcs.items():
         for (a, b), (c, d) in itertools.combinations(sorted(side_arcs), 2):
             if a < c < b < d:
-                name = "upper" if side is UP else "lower"
+                name = "upper" if side == UP else "lower"
                 return False, f"two {name} arcs cross: ({a}, {b}) and ({c}, {d})"
     return True, None
 
 
 def perturbed(rng, s):
     """``s`` with one to three arrows flipped or crossing values changed."""
-    letters = list(s.letters)
+    letters = as_objects(s.letters)
     for _ in range(rng.randint(1, 3)):
         q = rng.randrange(len(letters))
         x = letters[q]
-        if x is UP or x is DOWN:
-            letters[q] = DOWN if x is UP else UP
+        if x == UP or x == DOWN:
+            letters[q] = DOWN if x == UP else UP
         elif isinstance(x, Gap):
             letters[q] = Gap(rng.randint(0, s.n))
-    return CuttingSequence(s.n, tuple(letters))
+    return CuttingSequence(s.n, as_ints(letters))
 
 
 def equivalence_cases(rng, count):
@@ -346,7 +372,7 @@ def test_validate_checks_reducedness_once(monkeypatch):
 
     monkeypatch.setattr(geometry, "is_reduced", counted)
     s = word_to_cutseq(parse_word("1 2 -1 2 2 1 -2 1", 3))
-    assert max(sum(1 for x in s.letters if x == Gap(k)) for k in range(4)) >= 2
+    assert max(s.letters.count(2 * k + 1) for k in range(4)) >= 2
     assert validate(s).ok
     assert len(calls) == 1
 

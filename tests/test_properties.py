@@ -6,6 +6,7 @@ import random
 import pytest
 
 import property_suites as ps
+from conftest import STRAND_REGIMES
 
 
 @pytest.mark.parametrize("suite", ps.ALL_SUITES, ids=lambda f: f.__name__)
@@ -13,6 +14,13 @@ def test_suite(suite):
     # stable per-suite seed, distinct from the acceptance bundle's
     seed = sum(map(ord, suite.__name__))
     suite(random.Random(seed), 500)
+
+
+@pytest.mark.parametrize("suite", ps.ALL_SUITES, ids=lambda f: f.__name__)
+def test_suite_wide_strands(suite):
+    """The same laws at n = 6..10, on a seed stream of their own."""
+    seed = sum(map(ord, suite.__name__)) + 1
+    suite(random.Random(seed), 150, strands=STRAND_REGIMES[1])
 
 
 def test_deep_expansion_confluence():

@@ -6,7 +6,9 @@ that ``order.compare_sequences`` walks, and the slide arcs of
 references - the marked-letter reduction of the order walk, the fragment
 straightening of the slide arcs and the rule table as it stood before a
 stripped puncture could collapse - and seeded inputs must give the same
-letters from both.
+letters from both.  The references read letters as ``Hole(k)``, ``Gap(k)``
+and ``_Stripped(k)`` objects and arrows, converted from and to the
+library's ints by :func:`as_objects` and :func:`as_ints`.
 """
 
 import dataclasses
@@ -17,15 +19,59 @@ import pytest
 
 from braidorder import BraidWord, word_to_cutseq
 from braidorder.canonical import CanonicalError, UsefulSubword, emit_slide_word
-from braidorder.cutseq import DOWN, UP, Gap, Hole, _reduce_letters, _try_rule
-from braidorder.order import _strip_and_reduce, _Stripped
+from braidorder.cutseq import DOWN, UP, _reduce_letters, _try_rule
+from braidorder.order import _strip_and_reduce
 from conftest import random_word
+
+# --- the old letters and the conversion ------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class Hole:
+    k: int
+
+
+@dataclasses.dataclass(frozen=True)
+class Gap:
+    k: int
+
+
+@dataclasses.dataclass(frozen=True)
+class _Stripped:
+    k: int
+
+
+def as_objects(letters):
+    """Puncture 2k -> Hole(k), crossing 2k+1 -> Gap(k), stripped puncture
+    ~2k -> _Stripped(k); arrows stay."""
+    out = []
+    for x in letters:
+        if x == UP or x == DOWN:
+            out.append(x)
+        elif x < 0:
+            out.append(_Stripped(~x >> 1))
+        else:
+            out.append((Gap if x & 1 else Hole)(x >> 1))
+    return out
+
+
+def as_ints(objects):
+    out = []
+    for x in objects:
+        if isinstance(x, int):
+            out.append(x)
+        elif isinstance(x, _Stripped):
+            out.append(~(2 * x.k))
+        else:
+            out.append(2 * x.k + isinstance(x, Gap))
+    return out
+
 
 # --- references ----------------------------------------------------------------
 
 
 def _is_arrow(x):
-    return x is UP or x is DOWN
+    return x == UP or x == DOWN
 
 
 def _reference_try_rule(a, b, c):
@@ -39,7 +85,7 @@ def _reference_try_rule(a, b, c):
         if isinstance(a, Hole) and isinstance(c, Hole) and abs(a.k - c.k) == 1:
             return [a, c]
         return None
-    if isinstance(b, Gap) and _is_arrow(a) and a is c:
+    if isinstance(b, Gap) and _is_arrow(a) and a == c:
         return [a]
     return None
 
@@ -76,7 +122,7 @@ def _marked_rule(a, b, c):
         if a.underlined and c.underlined and abs(a.doubled - c.doubled) == 2:
             return [a, c]
         return None
-    if isinstance(b, _Marked) and not b.underlined and _is_arrow(a) and a is c:
+    if isinstance(b, _Marked) and not b.underlined and _is_arrow(a) and a == c:
         return [a]
     return None
 
@@ -105,7 +151,7 @@ def _straighten(values, arrows):
                 break
         else:
             for j in range(len(arrows) - 1):
-                if arrows[j] is arrows[j + 1]:
+                if arrows[j] == arrows[j + 1]:
                     del values[j + 1], arrows[j + 1]
                     changed = True
                     break
@@ -122,9 +168,9 @@ def _reference_slide_word(u, n):
     letters = []
     for j, arrow in enumerate(arrows):
         a, b = values[j], values[j + 1]
-        if arrow is UP and a < b:
+        if arrow == UP and a < b:
             letters.extend(range(a + 1, b + 1))
-        elif arrow is UP:
+        elif arrow == UP:
             letters.extend(-k for k in range(a, b, -1))
         elif a < b:
             letters.extend(-k for k in range(a + 1, b + 1))
@@ -151,16 +197,19 @@ def _as_marked(x):
 def test_rule_table_unchanged_on_sequence_windows():
     alphabet = [Hole(k) for k in range(4)] + [Gap(k) for k in range(4)] + [UP, DOWN]
     for window in itertools.product(alphabet, repeat=3):
-        assert _try_rule(*window) == _reference_try_rule(*window), window
+        want = _reference_try_rule(*window)
+        got = _try_rule(*as_ints(window))
+        assert got == (None if want is None else as_ints(want)), window
 
 
 def test_stripped_puncture_only_collapses():
+    stripped = as_ints([_Stripped(2)])[0]
     for arrow in (UP, DOWN):
-        assert _try_rule(arrow, _Stripped(2), arrow) == [arrow]
-        assert _try_rule(arrow, _Stripped(2), UP if arrow is DOWN else DOWN) is None
-        for other in (Hole(1), Hole(3), Gap(1), Gap(2), _Stripped(3)):
-            assert _try_rule(_Stripped(2), arrow, other) is None
-            assert _try_rule(other, arrow, _Stripped(2)) is None
+        assert _try_rule(arrow, stripped, arrow) == [arrow]
+        assert _try_rule(arrow, stripped, UP if arrow == DOWN else DOWN) is None
+        for other in as_ints([Hole(1), Hole(3), Gap(1), Gap(2), _Stripped(3)]):
+            assert _try_rule(stripped, arrow, other) is None
+            assert _try_rule(other, arrow, stripped) is None
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -171,8 +220,9 @@ def test_stripping_matches_marked_reduction(n):
     for _ in range(60):
         letters = word_to_cutseq(random_word(rng, n)).letters
         for strip in (0, 1, rng.randint(0, len(letters)), len(letters)):
-            got = [_as_marked(x) for x in _strip_and_reduce(letters, strip)]
-            assert got == _reduce_marked(_mark(letters, strip)), (letters, strip)
+            got = [_as_marked(x) for x in as_objects(_strip_and_reduce(letters, strip))]
+            want = _reduce_marked(_mark(as_objects(letters), strip))
+            assert got == want, (letters, strip)
 
 
 def test_slide_fragments_match_straighten():
@@ -183,7 +233,7 @@ def test_slide_fragments_match_straighten():
         fragment = [Gap(values[0])]
         for arrow, v in zip(arrows, values[1:]):
             fragment += [arrow, Gap(v)]
-        fragment = _reduce_letters(fragment)
+        fragment = as_objects(_reduce_letters(as_ints(fragment)))
         _straighten(values, arrows)
         assert [x.k for x in fragment[::2]] == values
         assert fragment[1::2] == arrows
