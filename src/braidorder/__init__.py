@@ -4,7 +4,10 @@ Braid words act on curve diagrams in the punctured disk; the diagram is
 encoded as a cutting sequence along the real axis, and the first deviation
 of the reduced sequence from the straight one reads off the braid's sign.
 That sign gives a total order invariant under right multiplication, plus a
-canonical form for every braid word.
+canonical form for every braid word.  ``sign`` and ``compare`` read the
+sign from the diagram's Dynnikov coordinates, in time quadratic in the
+word length; cutting sequences serve the diagram itself, its validation,
+the comparison of two sequences and the canonical form.
 """
 
 from .canonical import CanonicalError, CanonicalResult, canonical_form

@@ -45,7 +45,8 @@ strands_option = click.option(
 )
 json_option = click.option("--json", "as_json", is_flag=True, help="emit JSON")
 
-# words like "-2 1" start with a dash; don't let them parse as options
+# words like "-2 1" and sequence texts like "-1 _0" start with a dash;
+# don't let them parse as options
 word_args = {"ignore_unknown_options": True}
 
 
@@ -135,7 +136,7 @@ def cutseq_cmd(word, strands, as_json):
         click.echo(format_sequence(seq))
 
 
-@main.command("validate")
+@main.command("validate", context_settings=word_args)
 @click.argument("sequence")
 @json_option
 def validate_cmd(sequence, as_json):

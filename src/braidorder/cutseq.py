@@ -118,12 +118,12 @@ def parse_sequence(text: str, n: int | None = None) -> CuttingSequence:
             letters.append(_TOKENS[token])
             continue
         hole = token.startswith("_")
-        try:
-            k = int(token[1:] if hole else token)
-        except ValueError:
-            raise InvalidSequenceError(f"bad token: {token!r}") from None
-        if k < 0:  # would decode to an arrow or to no letter at all
+        digits = token[1:] if hole else token
+        # ASCII digits only: int() would also take signs, "_" separators and
+        # other scripts' digits, so one sequence would have many spellings
+        if not (digits.isascii() and digits.isdigit()):
             raise InvalidSequenceError(f"bad token: {token!r}")
+        k = int(digits)
         letters.append(2 * k if hole else 2 * k + 1)
     if n is None:
         if not letters or letters[-1] < 0 or letters[-1] & 1:

@@ -1,10 +1,26 @@
 """The right-invariant total order on braids.
 
-A braid is larger than another when their quotient is positive, i.e. when the
-first deviating curve of the quotient's diagram departs into the upper half
-plane.  ``compare`` takes that route (one quotient, one sequence, one sign).
+A braid is larger than another when their quotient is positive.  ``sign``
+and ``compare`` read positivity from Dynnikov coordinates (Dynnikov, Russ.
+Math. Surveys 57 (2002); Dehornoy-Dynnikov-Rolfsen-Wiest, *Ordering Braids*,
+AMS 2008, ch. XII; Dehornoy, Discrete Appl. Math. 156 (2008)).  The disk has
+the n strands' punctures plus one dummy puncture at each end, matching the
+endpoints ``_0`` and ``_{n+1}`` of the cutting sequences, so a braid on n
+strands has n pairs (a_j, b_j), j = 1..n, all (0, 1) for the identity.  The
+generator sigma_i (or its inverse) changes the pairs i and i + 1 by one
+max/min-plus update, so a word of length L costs O(n + L^2) bit operations:
+the entries have O(L) bits.  Sign rule: if every pair is (0, 1) the braid is
+trivial; otherwise take the first pair i that is not, and the braid is
+i-positive when a_i > 0 and i-negative when a_i < 0.  An i-positive braid
+is a word in sigma_i..sigma_{n-1}, which leaves the pairs before i alone,
+so the first changed pair names the index.  A changed pair with a_i = 0
+contradicts the rule and raises ``RewriteError`` instead of guessing.
+``compare(a, b)`` is the sign of ``a * b^-1``.
+
 ``compare_sequences`` decides the same order directly from two reduced
-sequences, by comparing how the two diagrams first branch apart.
+cutting sequences, by comparing how the two diagrams first branch apart.
+The test suite keeps the cutting-sequence sign (``cutseq.sign_of``) as the
+referee of the coordinate route.
 """
 
 from __future__ import annotations
@@ -15,11 +31,10 @@ from .cutseq import (
     DOWN,
     UP,
     CuttingSequence,
+    RewriteError,
     _reduce_letters,
     is_reduced,
     puncture_walk,
-    sign_of,
-    word_to_cutseq,
 )
 from .geometry import AmbiguityError
 from .words import BraidWord, SignResult, WordError
@@ -31,16 +46,61 @@ class Ordering(enum.Enum):
     GREATER = 1
 
 
+def _act(c: list[int], k: int) -> None:
+    """Let the letter k act in place on c = [a_1, b_1, ..., a_n, b_n].
+
+    With x+ = max(x, 0) and x- = min(x, 0), sigma_i maps the pairs
+    (a1, b1), (a2, b2) at i, i + 1 to (a1 + b1+ + (b2+ - t)+, b2 - t+) and
+    (a2 + b2- + (b1- + t)-, b1 + t+), where t = a1 - b1- - a2 + b2+.  Its
+    inverse is sigma_i conjugated by the mirror (a, b) -> (-a, b).
+    """
+    i = 2 * abs(k) - 2
+    s = 1 if k > 0 else -1
+    a1, b1, a2, b2 = c[i : i + 4]
+    a1, a2 = s * a1, s * a2
+    b1p = b1 if b1 > 0 else 0
+    b2p = b2 if b2 > 0 else 0
+    t = a1 - (b1 - b1p) - a2 + b2p
+    tp = t if t > 0 else 0
+    u, v = b2p - t, b1 - b1p + t
+    c[i : i + 4] = (
+        s * (a1 + b1p + (u if u > 0 else 0)),
+        b2 - tp,
+        s * (a2 + b2 - b2p + (v if v < 0 else 0)),
+        b1 + tp,
+    )
+
+
+def _coordinates(w: BraidWord) -> list[int]:
+    """The Dynnikov coordinates of the braid, as [a_1, b_1, ..., a_n, b_n]."""
+    c = [0, 1] * w.n
+    for k in w.letters:
+        _act(c, k)
+    return c
+
+
+def _coordinate_sign(c: list[int]) -> SignResult:
+    """The sign rule of the module docstring, read from the coordinates."""
+    for j in range(0, len(c), 2):
+        if c[j] > 0:
+            return SignResult("positive", j // 2 + 1)
+        if c[j] < 0:
+            return SignResult("negative", j // 2 + 1)
+        if c[j + 1] != 1:
+            raise RewriteError(f"pair {j // 2 + 1} changed but has a = 0")
+    return SignResult("trivial")
+
+
 def sign(w: BraidWord) -> SignResult:
     """Positivity of the braid: trivial, or i-positive/negative."""
-    return sign_of(word_to_cutseq(w))
+    return _coordinate_sign(_coordinates(w))
 
 
 def compare(a: BraidWord, b: BraidWord) -> Ordering:
     """Total order via the quotient: a > b iff a * b^-1 is positive."""
     if a.n != b.n:
         raise WordError(f"strand count mismatch: {a.n} vs {b.n}")
-    result = sign_of(word_to_cutseq(a * b.inverse()))
+    result = _coordinate_sign(_coordinates(a * b.inverse()))
     if result.kind == "positive":
         return Ordering.GREATER
     if result.kind == "negative":

@@ -19,10 +19,9 @@ def random_word(rng, n, max_len=12, min_len=0):
     return BraidWord(n, tuple(rng.choice(gens) for _ in range(length)))
 
 
-def insert_identity(rng, w):
-    """Insert a trivial chunk at a random spot: a cancelling pair, a braid
-    relator, or a far commutator, whichever the strand count allows."""
-    n = w.n
+def identity_chunk(rng, n):
+    """A trivial chunk of letters: a cancelling pair, a braid relator, or a
+    far commutator, whichever the strand count allows."""
     kinds = ["cancel"]
     if n >= 3:
         kinds.append("relator")
@@ -39,8 +38,14 @@ def insert_identity(rng, w):
         i = rng.randint(1, n - 3)
         j = rng.randint(i + 2, n - 1)
         chunk = (i, j, -i, -j)
+    return chunk
+
+
+def insert_identity(rng, w):
+    """Insert a trivial chunk (``identity_chunk``) at a random spot."""
+    chunk = identity_chunk(rng, w.n)
     pos = rng.randint(0, len(w.letters))
-    return BraidWord(n, w.letters[:pos] + chunk + w.letters[pos:])
+    return BraidWord(w.n, w.letters[:pos] + chunk + w.letters[pos:])
 
 
 @pytest.fixture

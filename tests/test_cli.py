@@ -122,6 +122,15 @@ def test_validate_rejects_malformed_text():
     assert r.exit_code == 1
 
 
+def test_validate_text_starting_with_minus_is_not_an_option():
+    r = run("validate", "-1 _0")
+    assert r.exit_code == 1
+    assert "bad token" in r.stderr
+    r = run("validate", "--json", "-1 _0")
+    assert r.exit_code == 1
+    assert "bad token" in r.stderr
+
+
 def test_equal():
     r = run("equal", "-n", "4", "1 2 -3 2 -1", "-2 -3 1 -2 1 3 2")
     assert r.exit_code == 0

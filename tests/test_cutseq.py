@@ -120,6 +120,29 @@ def test_parse_refuses_negative_puncture_token():
         parse_sequence("_0 _-1 _1 _2 _3", n=2)
 
 
+def test_parse_refuses_a_plus_sign():
+    # int() reads "+2" as 2; the text form allows one spelling only
+    with pytest.raises(InvalidSequenceError, match="bad token"):
+        parse_sequence("_0 ^ _+2 _1 v _3")
+
+
+def test_parse_refuses_non_ascii_digits():
+    # int() reads the Arabic-Indic digit two as 2
+    with pytest.raises(InvalidSequenceError, match="bad token"):
+        parse_sequence("_0 ^ _٢ _1 v _3")
+
+
+def test_parse_refuses_digit_separators():
+    # int() reads "1_0" as 10
+    with pytest.raises(InvalidSequenceError, match="bad token"):
+        parse_sequence("_0 ^ 1_0 v _2 _1 _3")
+
+
+def test_parse_refuses_a_bare_underline():
+    with pytest.raises(InvalidSequenceError, match="bad token"):
+        parse_sequence("_0 ^ _ _1 v _3")
+
+
 def test_arrow_between_value_adjacent_holes_is_reducible_not_invalid():
     # hole pairs at distance one may sit together without an arrow
     s = parse_sequence("_0 ^ _2 _1 v _3 _4")

@@ -102,10 +102,12 @@ def test_parse_word_raises_only_word_error(tokens):
 
 
 @settings(FUZZ, max_examples=80)
-@given(TEXTS, st.booleans())
+@given(st.one_of(TEXTS, TEXTS.map("-".__add__)), st.booleans())
 def test_cli_validate_exits_zero_or_one_without_traceback(text, as_json):
-    # "--" ends the options, so a text starting with "-" is the argument
-    args = ["validate", "--json", "--", text] if as_json else ["validate", "--", text]
+    # a text starting with "-" is read as the argument; only one that could
+    # spell a long option of the command ("--json", "--help") needs "--"
+    args = ["validate", "--json"] if as_json else ["validate"]
+    args += ["--", text] if text.startswith("--") else [text]
     r = CliRunner().invoke(main, args)
     assert r.exit_code in (0, 1), r.output
     assert r.exception is None or isinstance(r.exception, SystemExit), repr(r.exception)

@@ -1,17 +1,22 @@
+import random
+
 import pytest
 
 from braidorder import (
     AmbiguityError,
+    BraidWord,
     Ordering,
+    RewriteError,
     compare,
     compare_sequences,
     parse_word,
     sign,
     word_to_cutseq,
 )
-from braidorder.cutseq import trivial_sequence
+from braidorder import order
+from braidorder.cutseq import sign_of, trivial_sequence
 from braidorder.words import WordError
-from conftest import STRAND_REGIMES, random_word
+from conftest import STRAND_REGIMES, identity_chunk, random_word
 
 
 def w(text, n=3):
@@ -133,3 +138,104 @@ def test_ambiguity_error_not_raised_on_word_images(rng):
             compare_sequences(word_to_cutseq(a), word_to_cutseq(b))
         except AmbiguityError as e:  # pragma: no cover
             pytest.fail(f"undecidable pair {a} vs {b}: {e}")
+
+
+# --- the Dynnikov coordinate route against its referees ---------------------
+
+
+def test_generator_maps_are_mutual_inverses(rng):
+    for _ in range(2000):
+        n = rng.randint(2, 10)
+        c = [rng.randint(-60, 60) for _ in range(2 * n)]
+        k = rng.randint(1, n - 1)
+        for first in (k, -k):
+            d = list(c)
+            order._act(d, first)
+            order._act(d, -first)
+            assert d == c, (c, first)
+
+
+def test_sign_matches_the_cutting_sequence_sign(rng):
+    for low, high in STRAND_REGIMES:
+        for _ in range(300):
+            word = random_word(rng, rng.randint(low, high))
+            assert sign(word) == sign_of(word_to_cutseq(word)), word
+
+
+def test_changed_pair_with_zero_a_raises_rewrite_error(monkeypatch):
+    # the second pair differs from (0, 1) with a = 0: the sign rule says
+    # nothing, so the route must refuse instead of guessing
+    monkeypatch.setattr(order, "_coordinates", lambda word: [0, 1, 0, 3, 1, 1])
+    with pytest.raises(RewriteError, match="pair 2"):
+        sign(w("1"))
+    with pytest.raises(RewriteError, match="pair 2"):
+        compare(w("1"), w(""))
+
+
+def _consistent_word(rng, n, i, s, length):
+    """A word in s * sigma_i and sigma_{i+1}..sigma_{n-1} of both signs, with
+    at least one sigma_i: its sign is s at index i by construction."""
+    gens = [s * i] + [g for j in range(i + 1, n) for g in (j, -j)]
+    letters = [rng.choice(gens) for _ in range(length - 1)]
+    letters.insert(rng.randint(0, len(letters)), s * i)
+    return BraidWord(n, tuple(letters))
+
+
+def _rewrite(rng, letters, tries):
+    """Random braid moves in place: far letters commute, and a same-sign
+    i j i with |i - j| = 1 becomes j i j."""
+    for _ in range(tries):
+        p = rng.randrange(len(letters) - 2)
+        x, y, z = letters[p : p + 3]
+        if abs(abs(x) - abs(y)) >= 2:
+            letters[p : p + 2] = [y, x]
+        elif z == x and abs(abs(x) - abs(y)) == 1 and (x > 0) == (y > 0):
+            letters[p : p + 3] = [y, x, y]
+
+
+def _scramble(rng, word, length):
+    """Another spelling of the braid with exactly ``length`` letters (the
+    word's length plus an even number): trivial chunks inserted at random
+    spots, every one followed by random braid moves."""
+    letters = list(word.letters)
+    assert length >= len(letters) and (length - len(letters)) % 2 == 0
+    while len(letters) < length:
+        chunk = identity_chunk(rng, word.n)
+        if len(letters) + len(chunk) <= length:
+            p = rng.randint(0, len(letters))
+            letters[p:p] = chunk
+            _rewrite(rng, letters, 4)
+    return BraidWord(word.n, tuple(letters))
+
+
+LONG_LENGTHS = (200, 400, 1000)
+
+
+@pytest.mark.parametrize("length", LONG_LENGTHS)
+def test_sign_of_long_scrambled_consistent_words(length):
+    rng = random.Random(length)
+    for n in range(3, 11):
+        for _ in range(8):
+            i = rng.randint(1, n - 1)
+            s = rng.choice((1, -1))
+            word = _scramble(rng, _consistent_word(rng, n, i, s, length // 2), length)
+            kind = "positive" if s > 0 else "negative"
+            assert (sign(word).kind, sign(word).index) == (kind, i)
+
+
+@pytest.mark.parametrize("length", LONG_LENGTHS)
+def test_compare_on_long_scrambled_words(length):
+    """a = (consistent c) * b, respelled: a against b is the sign of c, and
+    a respelled b is equal to b."""
+    rng = random.Random(length + 1)
+    for n in range(3, 11):
+        for _ in range(6):
+            i = rng.randint(1, n - 1)
+            s = rng.choice((1, -1))
+            c = _consistent_word(rng, n, i, s, length // 4)
+            b = random_word(rng, n, min_len=length // 4, max_len=length // 4)
+            a = _scramble(rng, c * b, length)
+            want = Ordering.GREATER if s > 0 else Ordering.LESS
+            assert compare(a, b) is want
+            assert compare(b, a) is (Ordering.LESS if s > 0 else Ordering.GREATER)
+            assert compare(_scramble(rng, b, length), b) is Ordering.EQUAL
