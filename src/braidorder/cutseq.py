@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .words import MAX_STRANDS, BraidWord, SignResult
+from .words import MAX_STRANDS, BraidWord, SignResult, free_reduce
 
 UP = -1
 DOWN = -2
@@ -113,18 +113,22 @@ def trivial_sequence(n: int) -> CuttingSequence:
 def parse_sequence(text: str, n: int | None = None) -> CuttingSequence:
     """Parse the ASCII encoding.  Without ``n``, infer it from the final hole."""
     letters: list[int] = []
+    known = dict(_TOKENS)  # a sequence repeats few distinct tokens: check each once
     for token in text.split():
-        if token in _TOKENS:
-            letters.append(_TOKENS[token])
-            continue
-        hole = token.startswith("_")
-        digits = token[1:] if hole else token
-        # ASCII digits only: int() would also take signs, "_" separators and
-        # other scripts' digits, so one sequence would have many spellings
-        if not (digits.isascii() and digits.isdigit()):
-            raise InvalidSequenceError(f"bad token: {token!r}")
-        k = int(digits)
-        letters.append(2 * k if hole else 2 * k + 1)
+        x = known.get(token)
+        if x is None:
+            hole = token.startswith("_")
+            digits = token[1:] if hole else token
+            # ASCII digits only: int() would also take signs, "_" separators
+            # and other scripts' digits, so one sequence would have many
+            # spellings; for the same reason a number has no leading zero
+            if not (digits.isascii() and digits.isdigit()) or (
+                digits[0] == "0" and len(digits) > 1
+            ):
+                raise InvalidSequenceError(f"bad token: {token!r}")
+            k = int(digits)
+            x = known[token] = 2 * k if hole else 2 * k + 1
+        letters.append(x)
     if n is None:
         if not letters or letters[-1] < 0 or letters[-1] & 1:
             raise InvalidSequenceError("cannot infer strand count: no final hole")
@@ -199,11 +203,6 @@ def _reduce_letters(letters) -> list[int]:
             out[i : i + 3] = repl
             i = max(0, i - 2)  # a new window may have opened just to the left
     return out
-
-
-def reduce(s: CuttingSequence) -> CuttingSequence:
-    """Apply the reduction rules until none applies.  Idempotent."""
-    return CuttingSequence(s.n, tuple(_reduce_letters(s.letters)))
 
 
 def is_reduced(s: CuttingSequence) -> bool:
@@ -289,9 +288,11 @@ def apply_generator(s: CuttingSequence, i: int, sign: int = 1) -> CuttingSequenc
 
 
 def word_to_cutseq(w: BraidWord) -> CuttingSequence:
-    """Let the word act letter by letter on the trivial sequence."""
+    """Let the word act letter by letter on the trivial sequence, after
+    cancelling the letter pairs :func:`words.free_reduce` finds: the reduced
+    sequence is a braid invariant, so the shorter word gives the same one."""
     s = trivial_sequence(w.n)
-    for k in w.letters:
+    for k in free_reduce(w).letters:
         s = apply_generator(s, abs(k), 1 if k > 0 else -1)
     return s
 

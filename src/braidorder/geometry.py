@@ -13,82 +13,21 @@ from __future__ import annotations
 
 import dataclasses
 
-from .cutseq import DOWN, UP, CuttingSequence, is_reduced, puncture_walk
+from .cutseq import DOWN, UP, CuttingSequence, is_reduced
 
 
 class AmbiguityError(ValueError):
     """The comparison walks cannot decide: no disjoint realization exists."""
 
 
-@dataclasses.dataclass(frozen=True)
-class DirectedString:
-    """A walk from a crossing letter to the nearest puncture letter.
-
-    ``doubled`` are the visited values on the doubled grid (crossings odd,
-    punctures even); ``arrows`` the half-plane excursions between them;
-    ``anchor`` the position of the starting letter in the source sequence.
-    """
-
-    doubled: tuple[int, ...]
-    arrows: tuple[int, ...]
-    anchor: int
-
-
-def _read_string(s: CuttingSequence, pos: int, want: int) -> DirectedString:
-    letters = s.letters
-    x = letters[pos]
-    if x < 0 or not x & 1:
-        raise ValueError(f"position {pos} is not an interval crossing")
-    # a crossing in a reduced sequence is flanked by one ^ and one v; read in
-    # the direction of the requested one
-    if letters[pos + 1] is want:
-        step = 1
-    elif letters[pos - 1] is want:
-        step = -1
-    else:
-        raise ValueError("crossing not flanked by opposite arrows; sequence not reduced?")
-    walk = puncture_walk(letters, pos, step)
-    return DirectedString(walk[::2], walk[1::2], pos)
-
-
-def up_string(s: CuttingSequence, pos: int) -> DirectedString:
-    """The walk from the crossing at ``pos`` whose first excursion is upper."""
-    return _read_string(s, pos, UP)
-
-
-def down_string(s: CuttingSequence, pos: int) -> DirectedString:
-    """The walk from the crossing at ``pos`` whose first excursion is lower."""
-    return _read_string(s, pos, DOWN)
-
-
-def cyclic_key(d: DirectedString, n: int) -> tuple[int, ...]:
-    """Per-excursion turning amounts of the walk, on the doubled grid.
-
-    For an upper excursion from x to y the entry is y - x modulo n+1, for a
-    lower one x - y; representatives are chosen strictly between 0 and n+1,
-    i.e. doubled in 1..2n+1.  A zero residue would mean two distinct curve
-    points coincide modulo the period, which no embedded diagram produces.
-    """
-    mod = 2 * (n + 1)
-    out = []
-    for j, arrow in enumerate(d.arrows):
-        diff = d.doubled[j + 1] - d.doubled[j]
-        if arrow == DOWN:
-            diff = -diff
-        rep = diff % mod
-        if rep == 0:
-            raise AmbiguityError("zero cyclic difference in a comparison walk")
-        out.append(rep)
-    return tuple(out)
-
-
 def _walk_tables(s: CuttingSequence) -> tuple[list[int], list[int], list[int]]:
     """Everything the comparison walks read, in one pass over the letters.
 
     Returns ``(right, left, holes)``: for the arrow at q, the turning entry
-    ``right[q]`` of a walk passing it rightwards and ``left[q] = mod -
-    right[q]`` of one passing it leftwards, mod = 2(n+1), as in
-    :func:`cyclic_key`; and the positions of the holes, in order.
+    ``right[q]`` of a walk passing it rightwards from x to y (y - x through
+    an upper arrow, x - y through a lower one, modulo mod = 2(n+1)) and
+    ``left[q] = mod - right[q]`` of one passing it leftwards; and the
+    positions of the holes, in order.
 
     A walk from a crossing runs through a hole-free stretch to the nearest
     hole, so its key is a slice of ``right`` or ``left`` between the crossing

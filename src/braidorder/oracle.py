@@ -21,30 +21,27 @@ FreeWord = tuple[int, ...]  # signed generator indices, always freely reduced
 SEARCH_SPACE_LIMIT = 10_000_000
 
 
-def _basic_image(g: int, k: int) -> FreeWord:
-    """Image of the free generator x_k under the single braid letter g."""
+def _substitution(g: int) -> dict[int, FreeWord]:
+    """The images of the symbols the braid letter g moves: +-x_i, +-x_{i+1}
+    for i = |g|.  Every other symbol is fixed."""
     i = abs(g)
     if g > 0:
-        if k == i:
-            return (i, i + 1, -i)
-        if k == i + 1:
-            return (i,)
+        low, high = (i, i + 1, -i), (i,)
     else:
-        if k == i:
-            return (i + 1,)
-        if k == i + 1:
-            return (-(i + 1), i, i + 1)
-    return (k,)
+        low, high = (i + 1,), (-(i + 1), i, i + 1)
+    return {
+        i: low,
+        i + 1: high,
+        -i: tuple(-y for y in reversed(low)),
+        -(i + 1): tuple(-y for y in reversed(high)),
+    }
 
 
-def _substitute(g: int, word: FreeWord) -> FreeWord:
-    """Apply the letter g's substitution to each symbol, reducing eagerly."""
+def _substitute(table: dict[int, FreeWord], word: FreeWord) -> FreeWord:
+    """Rewrite each symbol through ``table`` (others stay), reducing eagerly."""
     out: list[int] = []
     for x in word:
-        img = _basic_image(g, abs(x))
-        if x < 0:
-            img = tuple(-y for y in reversed(img))
-        for y in img:
+        for y in table.get(x, (x,)):
             if out and out[-1] == -y:
                 out.pop()
             else:
@@ -64,10 +61,15 @@ class ArtinAutomorphism:
 
 
 def artin_action(w: BraidWord) -> ArtinAutomorphism:
-    """Compose the letter substitutions in word order (leftmost acts first)."""
+    """Compose the letter substitutions in word order (leftmost acts first).
+
+    An image holding none of the symbols a letter moves is kept as it is;
+    only the others are rewritten."""
     images = [(j,) for j in range(1, w.n + 1)]
     for g in w.letters:
-        images = [_substitute(g, img) for img in images]
+        table = _substitution(g)
+        moved = table.keys()
+        images = [img if moved.isdisjoint(img) else _substitute(table, img) for img in images]
     return ArtinAutomorphism(w.n, tuple(images))
 
 

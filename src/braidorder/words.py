@@ -89,14 +89,39 @@ def format_word(w: BraidWord) -> str:
 
 
 def free_reduce(w: BraidWord) -> BraidWord:
-    """Cancel adjacent letter/inverse pairs until none remain."""
-    out: list[int] = []
-    for k in w.letters:
-        if out and out[-1] == -k:
-            out.pop()
-        else:
-            out.append(k)
-    return BraidWord(w.n, tuple(out))
+    """A shorter word of the same braid: letter pairs k ... -k cancel when
+    every letter left between them commutes with k.
+
+    Rule: reading left to right, a letter k cancels against the last
+    remaining letter -k before it when every remaining letter in between has
+    an index j with |j - |k|| >= 2 (those commute with k, so the pair meets
+    and cancels).  Cancellations cascade, as in "2 1 -1 -2".  The result is
+    never longer, is idempotent, and is the same braid.
+
+    Per index, a stack holds the positions of the remaining letters; the
+    letter that could block k is the last remaining one of index |k| - 1,
+    |k| or |k| + 1, so each letter is decided from three stack tops, in
+    O(L + n) for L letters.
+    """
+    letters = w.letters
+    keep = [True] * len(letters)
+    stacks: list[list[int]] = [[] for _ in range(w.n + 1)]
+    for j, k in enumerate(letters):
+        a = abs(k)
+        same = stacks[a]
+        if same:
+            p = same[-1]
+            below, above = stacks[a - 1], stacks[a + 1]
+            if (
+                letters[p] == -k
+                and not (below and below[-1] > p)
+                and not (above and above[-1] > p)
+            ):
+                same.pop()
+                keep[p] = keep[j] = False
+                continue
+        same.append(j)
+    return BraidWord(w.n, tuple(k for k, kept in zip(letters, keep) if kept))
 
 
 def permutation_image(w: BraidWord) -> tuple[int, ...]:

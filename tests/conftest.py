@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from braidorder import BraidWord
+from braidorder import BraidWord, CuttingSequence
+from braidorder.cutseq import _reduce_letters, apply_generator, trivial_sequence
 
 
 # Strand-count ranges of the seeded law tests: the small regime first (its
@@ -46,6 +47,21 @@ def insert_identity(rng, w):
     chunk = identity_chunk(rng, w.n)
     pos = rng.randint(0, len(w.letters))
     return BraidWord(w.n, w.letters[:pos] + chunk + w.letters[pos:])
+
+
+def reduce_sequence(s):
+    """Apply the reduction rules to a sequence until none applies."""
+    return CuttingSequence(s.n, tuple(_reduce_letters(s.letters)))
+
+
+def act_letters(w):
+    """The sequence of ``w`` by every letter acting in turn on the trivial
+    one: ``word_to_cutseq`` without its shortening, so that letters it
+    would cancel still reach the generator action."""
+    s = trivial_sequence(w.n)
+    for k in w.letters:
+        s = apply_generator(s, abs(k), 1 if k > 0 else -1)
+    return s
 
 
 @pytest.fixture

@@ -14,12 +14,11 @@ from braidorder.cutseq import (
     apply_generator,
     initial_hole_run,
     is_reduced,
-    reduce,
     sign_of,
     trivial_sequence,
 )
 from braidorder.words import MAX_STRANDS
-from conftest import random_word
+from conftest import random_word, reduce_sequence
 
 
 def seq_of(text, n):
@@ -143,6 +142,15 @@ def test_parse_refuses_a_bare_underline():
         parse_sequence("_0 ^ _ _1 v _3")
 
 
+def test_parse_refuses_leading_zeros():
+    # int() reads "00" as 0 and "02" as 2; the text form allows one spelling
+    for text in ("_00 ^ _02 _1 v _03", "_0 ^ _02 _1 v _3", "_0 v 01 ^ _1 _2 _3"):
+        with pytest.raises(InvalidSequenceError, match="bad token"):
+            parse_sequence(text)
+    # a lone zero is still the number zero
+    assert parse_sequence("_0 ^ 0 ^ _1 _2 _3 _4").letters[:3] == (0, UP, 1)
+
+
 def test_arrow_between_value_adjacent_holes_is_reducible_not_invalid():
     # hole pairs at distance one may sit together without an arrow
     s = parse_sequence("_0 ^ _2 _1 v _3 _4")
@@ -187,13 +195,13 @@ def test_word_inverse_gives_trivial(rng):
 
 def test_reduction_example():
     s = parse_sequence("_0 ^ 0 ^ _1 _2 _3 _4")
-    assert reduce(s).is_trivial()
+    assert reduce_sequence(s).is_trivial()
 
 
 def test_reduce_is_idempotent(rng):
     for _ in range(100):
         s = word_to_cutseq(random_word(rng, rng.randint(2, 5)))
-        assert reduce(s) == s
+        assert reduce_sequence(s) == s
         assert is_reduced(s)
 
 

@@ -7,9 +7,9 @@ sequences exactly one assignment survives, and it must be the one the library
 computes.
 
 The second ground truth is a reference copy of the straightforward
-algorithm: keys read with ``up_string``/``down_string``/``cyclic_key``,
-sorted with a pairwise comparator, every pair of crossings and of arcs
-checked.  The library's one-pass, adjacent-pair and stack-sweep version must
+algorithm: keys read with ``up_string``/``down_string``/``cyclic_key``
+(defined here), sorted with a pairwise comparator, every pair of crossings
+and of arcs checked.  The library's one-pass, adjacent-pair and stack-sweep version must
 agree with it on orders, verdicts and error types.
 
 The oracle and the reference read letters as ``Hole(k)``/``Gap(k)`` objects
@@ -32,15 +32,8 @@ from braidorder import (
     word_to_cutseq,
 )
 from braidorder import geometry
-from braidorder.cutseq import DOWN, UP, CuttingSequence, is_reduced
-from braidorder.geometry import (
-    DirectedString,
-    _sort_crossings,
-    cyclic_key,
-    down_string,
-    occurrence_order,
-    up_string,
-)
+from braidorder.cutseq import DOWN, UP, CuttingSequence, is_reduced, puncture_walk
+from braidorder.geometry import _sort_crossings, occurrence_order
 from conftest import random_word
 
 TWO_LETTER_IMAGE = "_0 ^ 1 v _3 v _1 v 3 ^ _2 ^ _4"
@@ -63,6 +56,68 @@ def as_objects(letters):
 
 def as_ints(objects):
     return tuple(x if isinstance(x, int) else 2 * x.k + isinstance(x, Gap) for x in objects)
+
+
+@dataclasses.dataclass(frozen=True)
+class DirectedString:
+    """A walk from a crossing letter to the nearest puncture letter.
+
+    ``doubled`` are the visited values on the doubled grid (crossings odd,
+    punctures even); ``arrows`` the half-plane excursions between them;
+    ``anchor`` the position of the starting letter in the source sequence.
+    """
+
+    doubled: tuple[int, ...]
+    arrows: tuple[int, ...]
+    anchor: int
+
+
+def _read_string(s, pos, want):
+    letters = s.letters
+    x = letters[pos]
+    if x < 0 or not x & 1:
+        raise ValueError(f"position {pos} is not an interval crossing")
+    # a crossing in a reduced sequence is flanked by one ^ and one v; read in
+    # the direction of the requested one
+    if letters[pos + 1] == want:
+        step = 1
+    elif letters[pos - 1] == want:
+        step = -1
+    else:
+        raise ValueError("crossing not flanked by opposite arrows; sequence not reduced?")
+    walk = puncture_walk(letters, pos, step)
+    return DirectedString(walk[::2], walk[1::2], pos)
+
+
+def up_string(s, pos):
+    """The walk from the crossing at ``pos`` whose first excursion is upper."""
+    return _read_string(s, pos, UP)
+
+
+def down_string(s, pos):
+    """The walk from the crossing at ``pos`` whose first excursion is lower."""
+    return _read_string(s, pos, DOWN)
+
+
+def cyclic_key(d, n):
+    """Per-excursion turning amounts of the walk, on the doubled grid.
+
+    For an upper excursion from x to y the entry is y - x modulo n+1, for a
+    lower one x - y; representatives are chosen strictly between 0 and n+1,
+    i.e. doubled in 1..2n+1.  A zero residue would mean two distinct curve
+    points coincide modulo the period, which no embedded diagram produces.
+    """
+    mod = 2 * (n + 1)
+    out = []
+    for j, arrow in enumerate(d.arrows):
+        diff = d.doubled[j + 1] - d.doubled[j]
+        if arrow == DOWN:
+            diff = -diff
+        rep = diff % mod
+        if rep == 0:
+            raise AmbiguityError("zero cyclic difference in a comparison walk")
+        out.append(rep)
+    return tuple(out)
 
 
 def test_up_and_down_strings_on_worked_example():

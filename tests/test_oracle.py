@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from braidorder import braid_equal, parse_word
@@ -22,6 +24,51 @@ def test_braid_relator_gives_identity():
 def test_generator_images():
     phi = artin_action(parse_word("1", 3))
     assert phi.images == ((1, 2, -1), (1,), (3,))
+
+
+def _reference_basic_image(g, k):
+    """Image of the free generator x_k under the single braid letter g."""
+    i = abs(g)
+    if g > 0:
+        if k == i:
+            return (i, i + 1, -i)
+        if k == i + 1:
+            return (i,)
+    else:
+        if k == i:
+            return (i + 1,)
+        if k == i + 1:
+            return (-(i + 1), i, i + 1)
+    return (k,)
+
+
+def _reference_substitute(g, word):
+    out = []
+    for x in word:
+        img = _reference_basic_image(g, abs(x))
+        if x < 0:
+            img = tuple(-y for y in reversed(img))
+        for y in img:
+            if out and out[-1] == -y:
+                out.pop()
+            else:
+                out.append(y)
+    return tuple(out)
+
+
+def reference_artin_action(w):
+    """Every image rewritten symbol by symbol for every letter."""
+    images = [(j,) for j in range(1, w.n + 1)]
+    for g in w.letters:
+        images = [_reference_substitute(g, img) for img in images]
+    return ArtinAutomorphism(w.n, tuple(images))
+
+
+def test_action_matches_the_rewrite_everything_reference():
+    rng = random.Random(77031)
+    for _ in range(3000):
+        w = random_word(rng, rng.randint(2, 10), max_len=40)
+        assert artin_action(w) == reference_artin_action(w)
 
 
 def test_images_stay_freely_reduced(rng):

@@ -28,8 +28,8 @@ def test_deep_expansion_confluence():
     steps stacked before reducing back."""
     rng = random.Random(424242)
     from braidorder import word_to_cutseq
-    from braidorder.cutseq import CuttingSequence, reduce as reduce_sequence
-    from conftest import random_word
+    from braidorder.cutseq import CuttingSequence
+    from conftest import random_word, reduce_sequence
 
     for _ in range(150):
         n = rng.randint(2, 5)

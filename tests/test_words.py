@@ -1,6 +1,8 @@
+import time
+
 import pytest
 
-from braidorder import BraidWord, WordError, parse_word
+from braidorder import BraidWord, WordError, braid_equal, parse_word
 from braidorder.words import (
     MAX_STRANDS,
     crossing_numbers,
@@ -9,7 +11,7 @@ from braidorder.words import (
     is_sigma_consistent,
     permutation_image,
 )
-from conftest import random_word
+from conftest import insert_identity, random_word
 
 
 def test_parse_basic():
@@ -84,6 +86,59 @@ def test_free_reduce():
     assert free_reduce(parse_word("1 2 -2 -1", 3)).letters == ()
     # reduction cascades through newly adjacent pairs
     assert free_reduce(parse_word("2 1 -1 -2 1", 3)).letters == (1,)
+
+
+def test_free_reduce_cancels_across_commuting_letters():
+    assert free_reduce(parse_word("1 3 -1", 4)).letters == (3,)
+    assert free_reduce(parse_word("-2 4 5 -5 2 4", 6)).letters == (4, 4)
+    assert free_reduce(parse_word("1 3 4 -3 -1", 5)).letters == (3, 4, -3)
+    # cascades through pairs that only became cancellable
+    assert free_reduce(parse_word("1 3 2 -2 -3 -1", 4)).letters == ()
+
+
+def test_free_reduce_is_blocked_by_a_non_commuting_letter():
+    for text in ("1 2 -1", "2 1 -2", "2 3 -2", "1 3 2 -1", "1 1 2 -1"):
+        w = parse_word(text, 4)
+        assert free_reduce(w) == w
+    # the nearest letter of the same index is the only partner
+    assert free_reduce(parse_word("1 1 -1", 3)).letters == (1,)
+
+
+def _cancellable_pair(letters):
+    """A pair k ... -k with only commuting letters between, by brute force."""
+    for p, k in enumerate(letters):
+        for j in range(p + 1, len(letters)):
+            if letters[j] == -k:
+                return p, j
+            if abs(abs(letters[j]) - abs(k)) < 2:
+                break
+    return None
+
+
+def test_free_reduce_presents_the_same_braid_and_leaves_no_pair(rng):
+    for _ in range(300):
+        n = rng.randint(2, 10)
+        w = random_word(rng, n, max_len=40)
+        if rng.random() < 0.5:
+            for _ in range(rng.randint(1, 3)):
+                w = insert_identity(rng, w)
+        r = free_reduce(w)
+        assert braid_equal(r, w)
+        assert len(r) <= len(w)
+        assert free_reduce(r) == r
+        assert _cancellable_pair(r.letters) is None
+
+
+def test_free_reduce_is_linear_on_long_pathological_words():
+    """Words where each cancelling letter passes many commuting ones."""
+    m = 6_667
+    deep = BraidWord(4, (1,) * m + (3,) * m + (-1,) * m)
+    shallow = BraidWord(4, (3,) * m + (1, -1) * m)
+    t0 = time.perf_counter()
+    assert free_reduce(deep).letters == (3,) * m
+    assert free_reduce(shallow).letters == (3,) * m
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 0.5, f"{elapsed:.3f} s"
 
 
 def test_permutation_identity():
