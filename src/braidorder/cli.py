@@ -17,27 +17,22 @@ from .cutseq import (
 from .geometry import AmbiguityError, validate
 from .oracle import braid_equal
 from .order import Ordering, compare, sign
-from .words import WordError, format_word, parse_word
-
-
-def _infer_strands(*texts: str) -> int:
-    best = 2
-    for text in texts:
-        for tok in text.split():
-            try:
-                best = max(best, abs(int(tok)) + 1)
-            except ValueError as exc:
-                raise click.ClickException(f"bad generator {tok!r}") from exc
-    return best
+from .words import WordError, format_word, parse_letters, parse_word
 
 
 def _parse(text: str, n: int | None, *context: str):
-    if n is None:
-        n = _infer_strands(text, *context)
+    """The word of ``text``; without ``n``, on as many strands as the largest
+    index in ``text`` and the ``context`` texts needs."""
     try:
+        if n is None:
+            n = max([2] + [abs(k) + 1 for t in (text, *context) for k in parse_letters(t)])
         return parse_word(text, n)
     except WordError as exc:
         raise click.ClickException(str(exc)) from exc
+
+
+def _emit(as_json: bool, data: dict, text: str) -> None:
+    click.echo(json.dumps(data) if as_json else text)
 
 
 strands_option = click.option(
@@ -77,10 +72,7 @@ def main():
 def sign_cmd(word, strands, as_json):
     """Whether WORD is a positive, negative, or trivial braid."""
     res = sign(_parse(word, strands))
-    if as_json:
-        click.echo(json.dumps({"kind": res.kind, "index": res.index}))
-    else:
-        click.echo(str(res))
+    _emit(as_json, {"kind": res.kind, "index": res.index}, str(res))
 
 
 @main.command("compare", context_settings=word_args)
@@ -90,15 +82,9 @@ def sign_cmd(word, strands, as_json):
 @json_option
 def compare_cmd(left, right, strands, as_json):
     """Order LEFT against RIGHT: prints <, =, or >."""
-    if strands is None:
-        strands = _infer_strands(left, right)
-    a = _parse(left, strands)
-    b = _parse(right, strands)
+    a, b = _parse(left, strands, right), _parse(right, strands, left)
     out = {Ordering.LESS: "<", Ordering.EQUAL: "=", Ordering.GREATER: ">"}[compare(a, b)]
-    if as_json:
-        click.echo(json.dumps({"order": out}))
-    else:
-        click.echo(out)
+    _emit(as_json, {"order": out}, out)
 
 
 @main.command("canonical", context_settings=word_args)
@@ -108,19 +94,14 @@ def compare_cmd(left, right, strands, as_json):
 def canonical_cmd(word, strands, as_json):
     """The canonical form of WORD."""
     res = canonical_form(_parse(word, strands))
-    if as_json:
-        click.echo(
-            json.dumps(
-                {
-                    "word": format_word(res.word),
-                    "kind": res.sign.kind,
-                    "index": res.sign.index,
-                    "iterations": res.iterations,
-                }
-            )
-        )
-    else:
-        click.echo(format_word(res.word))
+    text = format_word(res.word)
+    data = {
+        "word": text,
+        "kind": res.sign.kind,
+        "index": res.sign.index,
+        "iterations": res.iterations,
+    }
+    _emit(as_json, data, text)
 
 
 @main.command("cutseq", context_settings=word_args)
@@ -130,10 +111,8 @@ def canonical_cmd(word, strands, as_json):
 def cutseq_cmd(word, strands, as_json):
     """The reduced cutting sequence of WORD's curve diagram."""
     seq = word_to_cutseq(_parse(word, strands))
-    if as_json:
-        click.echo(json.dumps({"sequence": format_sequence(seq), "strands": seq.n}))
-    else:
-        click.echo(format_sequence(seq))
+    text = format_sequence(seq)
+    _emit(as_json, {"sequence": text, "strands": seq.n}, text)
 
 
 @main.command("validate", context_settings=word_args)
@@ -146,12 +125,8 @@ def validate_cmd(sequence, as_json):
     except InvalidSequenceError as exc:
         raise click.ClickException(str(exc)) from exc
     res = validate(seq)
-    if as_json:
-        click.echo(json.dumps({"valid": res.ok, "reason": res.reason}))
-    elif res.ok:
-        click.echo("valid")
-    else:
-        click.echo(f"invalid: {res.reason}")
+    text = "valid" if res.ok else f"invalid: {res.reason}"
+    _emit(as_json, {"valid": res.ok, "reason": res.reason}, text)
 
 
 @main.command("equal", context_settings=word_args)
@@ -161,12 +136,5 @@ def validate_cmd(sequence, as_json):
 @json_option
 def equal_cmd(left, right, strands, as_json):
     """Whether LEFT and RIGHT are the same braid (by free-group action)."""
-    if strands is None:
-        strands = _infer_strands(left, right)
-    a = _parse(left, strands)
-    b = _parse(right, strands)
-    res = braid_equal(a, b)
-    if as_json:
-        click.echo(json.dumps({"equal": res}))
-    else:
-        click.echo("true" if res else "false")
+    res = braid_equal(_parse(left, strands, right), _parse(right, strands, left))
+    _emit(as_json, {"equal": res}, "true" if res else "false")

@@ -31,6 +31,7 @@ from .words import MAX_STRANDS, BraidWord, SignResult, free_reduce
 UP = -1
 DOWN = -2
 _TOKENS = {"^": UP, "v": DOWN}
+_MAX_DIGITS = len(str(MAX_STRANDS + 1))  # of the largest value, hole n + 1
 
 
 class InvalidSequenceError(ValueError):
@@ -126,6 +127,11 @@ def parse_sequence(text: str, n: int | None = None) -> CuttingSequence:
                 digits[0] == "0" and len(digits) > 1
             ):
                 raise InvalidSequenceError(f"bad token: {token!r}")
+            if len(digits) > _MAX_DIGITS:  # and before int() refuses it
+                raise InvalidSequenceError(
+                    f"bad token: {token!r}: value out of range for any strand count"
+                    f" up to {MAX_STRANDS}"
+                )
             k = int(digits)
             x = known[token] = 2 * k if hole else 2 * k + 1
         letters.append(x)
@@ -228,14 +234,18 @@ def is_reduced(s: CuttingSequence) -> bool:
 
 def apply_generator(s: CuttingSequence, i: int, sign: int = 1) -> CuttingSequence:
     """The reduced sequence of the braid of ``s`` multiplied by generator
-    ``i`` (``sign`` +1) or its inverse (``sign`` -1).  ``s`` must be reduced.
+    ``i`` (``sign`` +1) or its inverse (``sign`` -1).
+
+    ``s`` must be reduced, and this is not checked again here: pass a
+    sequence made by :func:`trivial_sequence` or by this function, or reduce
+    one from outside first.  Sequences from outside are checked where they
+    enter (the ``CuttingSequence`` constructor, :func:`parse_sequence`,
+    ``validate``, ``compare_sequences``, ``occurrence_order``).
     """
     if not 1 <= i <= s.n - 1:
         raise ValueError(f"generator index {i} out of range 1..{s.n - 1}")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if not is_reduced(s):
-        raise ValueError("input sequence must be reduced")
 
     up, down = (UP, DOWN) if sign > 0 else (DOWN, UP)
     # the holes i and i+1, the crossings of (i-1, i), (i, i+1) and (i+1, i+2)
@@ -280,11 +290,15 @@ def apply_generator(s: CuttingSequence, i: int, sign: int = 1) -> CuttingSequenc
             raise RewriteError(f"crossing of ({i}, {i + 1}) not flanked by opposite arrows")
 
     try:
-        _check_well_formed(s.n, out)
+        # The constructor's check is the one guard per generator.  It checks
+        # the reduced result, which is what is returned; a malformation that
+        # reduction removes (a crossing absorbed into a neighbouring
+        # puncture) leaves a well-formed sequence, whose value the test
+        # suite's independent routes check.
+        return CuttingSequence(s.n, tuple(_reduce_letters(out)))
     except InvalidSequenceError as e:
         # the rewrite table missed a context; never continue silently
         raise RewriteError(f"generator action broke the sequence: {e}") from e
-    return CuttingSequence(s.n, tuple(_reduce_letters(out)))
 
 
 def word_to_cutseq(w: BraidWord) -> CuttingSequence:
@@ -313,9 +327,9 @@ def sign_of(s: CuttingSequence) -> SignResult:
     The maximal initial run of holes _0.._k says the first k curves are
     straight; the letter after the run is the first excursion arrow, and its
     direction decides: up means positive, down means negative, with index k+1.
+    ``s`` must be reduced, as :func:`word_to_cutseq` makes it; this is not
+    checked again here.
     """
-    if not is_reduced(s):
-        raise ValueError("input sequence must be reduced")
     run = initial_hole_run(s)
     if run == len(s.letters):
         return SignResult("trivial")

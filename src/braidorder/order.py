@@ -178,16 +178,6 @@ def _ray(step, mod):
     return 0 if value > 0 else mod
 
 
-def _back_ray(step, mod):
-    """The direction pointing back along an arrived step."""
-    kind, value = step
-    if kind == UP:
-        return mod - value
-    if kind == DOWN:
-        return 2 * mod - value
-    return mod if value > 0 else 0
-
-
 def compare_sequences(s: CuttingSequence, t: CuttingSequence) -> Ordering:
     """Decide the order of the braids encoded by two reduced sequences.
 
@@ -218,9 +208,10 @@ def compare_sequences(s: CuttingSequence, t: CuttingSequence) -> Ordering:
         # puncture on both sides of the common prefix, which cannot happen;
         # fully identical walks on differing sequences are equally hopeless.
         raise AmbiguityError("sequences differ but their order walks agree")
-    # At the start of the walk the ray back along the curve points west,
-    # into the boundary.
-    back = _back_ray(pa[d - 1], mod) if d > 0 else mod
+    # The ray back along the shared arrival is the arriving step's ray turned
+    # by a half turn; at the start of the walk it points west, into the
+    # boundary, as after an eastward step.
+    back = mod - (_ray(pa[d - 1], mod) if d > 0 else 0)
     phi_a = (_ray(pa[d], mod) - back) % (2 * mod)
     phi_b = (_ray(pb[d], mod) - back) % (2 * mod)
     if phi_a == phi_b:

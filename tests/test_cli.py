@@ -157,6 +157,29 @@ def test_parse_error_exits_nonzero():
     assert r.exit_code == 1
 
 
+def test_letters_int_would_read_differently_exit_1():
+    for word in ("1_0", "+1", "01"):
+        r = run("sign", word)
+        assert r.exit_code == 1
+        assert "not an integer letter" in r.stderr
+    r = run("compare", "1", "1_0")
+    assert r.exit_code == 1
+    assert "not an integer letter" in r.stderr
+
+
+def test_overlong_digit_runs_exit_1_without_traceback():
+    # past 4,300 digits int() raises a plain ValueError
+    digits = "1" * 5_000
+    for args, message in [
+        (("validate", "--", f"_0 ^ {digits} v _1 _2 _3"), "bad token"),
+        (("sign", digits), "out of range"),
+    ]:
+        r = run(*args)
+        assert r.exit_code == 1
+        assert message in r.stderr
+        assert isinstance(r.exception, SystemExit), repr(r.exception)
+
+
 def test_strand_mismatch_exits_nonzero():
     r = run("compare", "-n", "2", "1", "2")
     assert r.exit_code == 1

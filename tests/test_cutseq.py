@@ -8,16 +8,19 @@ from braidorder import (
     parse_word,
     word_to_cutseq,
 )
+from braidorder import cutseq
 from braidorder.cutseq import (
     DOWN,
     UP,
+    RewriteError,
+    _check_well_formed,
     apply_generator,
     initial_hole_run,
     is_reduced,
     sign_of,
     trivial_sequence,
 )
-from braidorder.words import MAX_STRANDS
+from braidorder.words import MAX_STRANDS, free_reduce
 from conftest import random_word, reduce_sequence
 
 
@@ -151,6 +154,15 @@ def test_parse_refuses_leading_zeros():
     assert parse_sequence("_0 ^ 0 ^ _1 _2 _3 _4").letters[:3] == (0, UP, 1)
 
 
+def test_parse_refuses_more_digits_than_any_value_has():
+    # past 4,300 digits int() raises a plain ValueError; no value needs more
+    # digits than the largest hole, n + 1 = 10,001
+    for digits in ("1" * 6, "1" * 5_000):
+        with pytest.raises(InvalidSequenceError, match="bad token"):
+            parse_sequence(f"_0 ^ {digits} v _1 _2 _3")
+    assert parse_sequence(" ".join(f"_{k}" for k in range(MAX_STRANDS + 2))).n == MAX_STRANDS
+
+
 def test_arrow_between_value_adjacent_holes_is_reducible_not_invalid():
     # hole pairs at distance one may sit together without an arrow
     s = parse_sequence("_0 ^ _2 _1 v _3 _4")
@@ -184,6 +196,35 @@ def test_generator_then_inverse_is_trivial(rng):
         assert t == s
         t = apply_generator(apply_generator(s, i, -1), i, 1)
         assert t == s
+
+
+def test_malformed_generator_result_is_a_rewrite_error(monkeypatch):
+    # a broken result is the generator action's bug, not bad input
+    monkeypatch.setattr(cutseq, "_reduce_letters", lambda letters: [0, UP, 0, 6])
+    with pytest.raises(RewriteError, match="generator action broke the sequence"):
+        apply_generator(trivial_sequence(2), 1)
+
+
+def test_each_generator_checks_its_result_once(monkeypatch):
+    checks, reduced_checks = [], []
+
+    def check(n, letters):
+        checks.append(letters)
+        return _check_well_formed(n, letters)
+
+    def reduced(s):
+        reduced_checks.append(s)
+        return is_reduced(s)
+
+    monkeypatch.setattr(cutseq, "_check_well_formed", check)
+    monkeypatch.setattr(cutseq, "is_reduced", reduced)
+    w = parse_word("1 2 -2 -1 2 1 -2 3 -3 1", 4)
+    m = len(free_reduce(w))
+    assert 0 < m < len(w)
+    word_to_cutseq(w)
+    # the trivial sequence, then one check per generator
+    assert len(checks) == m + 1
+    assert reduced_checks == []
 
 
 def test_word_inverse_gives_trivial(rng):

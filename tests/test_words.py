@@ -39,6 +39,19 @@ def test_parse_rejects_garbage():
         parse_word("one two", 3)
     with pytest.raises(WordError):
         parse_word("1.5", 3)
+    # int() reads "1_0", "+1", "٣", "01" and "-02" as integers; a word has
+    # one text form only
+    for text in ("1_0", "+1", "٣", "01", "1 -02", "1-2", "- 1"):
+        with pytest.raises(WordError, match="not an integer letter"):
+            parse_word(text, 12)
+
+
+def test_parse_digit_runs():
+    # a zero after the first digit is no leading zero
+    assert parse_word("10 -10 100", 101).letters == (10, -10, 100)
+    # past 4,300 digits int() raises a plain ValueError
+    with pytest.raises(WordError, match="out of range"):
+        parse_word("1 " + "1" * 5_000, 3)
 
 
 def test_constructor_validates_letters():
