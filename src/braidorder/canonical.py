@@ -25,7 +25,7 @@ from .cutseq import (
     word_to_cutseq,
     sign_of,
 )
-from .geometry import occurrence_order
+from .geometry import _occurrence_order
 from .words import BraidWord, SignResult
 
 
@@ -61,17 +61,28 @@ def find_useful_subwords(
     reaches is neither i+1 nor the far boundary point (there is no puncture
     to slide there), and so encodes an arc back to the critical stretch.
     """
+    hole = _hole_subword(s, i, direction)
+    return ([] if hole is None else [hole]) + _crossing_subwords(s, i, direction)
+
+
+def _hole_subword(s: CuttingSequence, i: int, direction: int) -> UsefulSubword | None:
+    """The puncture i's read, if usable, after checking that ``s`` starts
+    _0.._i ``direction`` (``ValueError`` if not)."""
     letters = s.letters
     run = initial_hole_run(s)
     if run != i + 1 or run >= len(letters) or letters[run] != direction:
         arrow = "^" if direction == UP else "v"
         raise ValueError(f"sequence does not start _0.._{i} {arrow}")
+    read = _read_arc(s, i, +1, i)
+    if read is None:
+        return None
+    return UsefulSubword(read[0], read[1], hole_anchored=True, anchor=i)
+
+
+def _crossing_subwords(s: CuttingSequence, i: int, direction: int) -> list[UsefulSubword]:
+    """The usable reads of the crossings of (i, i+1), in sequence order."""
+    letters = s.letters
     out = []
-    hole_read = _read_arc(s, i, +1, i)
-    if hole_read is not None:
-        out.append(
-            UsefulSubword(hole_read[0], hole_read[1], hole_anchored=True, anchor=i)
-        )
     for p, x in enumerate(letters):
         if x == 2 * i + 1:
             step = 1 if letters[p + 1] == direction else -1
@@ -101,18 +112,20 @@ def leftmost_useful_subword(
     """The candidate whose anchor sits leftmost on the critical stretch.
 
     The puncture-anchored arc, if usable, starts at the stretch's left
-    endpoint and wins outright; otherwise the crossings' real-line order
+    endpoint and wins outright, so it is read first and the crossings are
+    read only when it is not usable; then the crossings' real-line order
     decides.  An empty candidate set contradicts the existence of a useful
     arc for every nontrivial diagram, so it raises.
     """
-    candidates = find_useful_subwords(s, i, direction)
+    hole = _hole_subword(s, i, direction)
+    if hole is not None:
+        return hole
+    candidates = _crossing_subwords(s, i, direction)
     if not candidates:
         raise CanonicalError("no useful arc found; the slide argument is violated")
-    for u in candidates:
-        if u.hole_anchored:
-            return u
     by_anchor = {u.anchor: u for u in candidates}
-    for p in occurrence_order(s, i):
+    # s comes from the generator action, so it is reduced
+    for p in _occurrence_order(s, i):
         if p in by_anchor:
             return by_anchor[p]
     raise CanonicalError("candidate anchors missing from the occurrence order")
@@ -192,15 +205,13 @@ def canonical_form(w: BraidWord, max_iterations: int | None = None) -> Canonical
         max_iterations = 10 * (1 + crossings)
     slides: list[int] = []
     iterations = 0
+    before = complexity(chi)  # each slide's result is the next one's start
     while not chi.is_trivial():
         if iterations >= max_iterations:
             raise CanonicalError(f"no convergence after {iterations} slides (a bug)")
-        run = initial_hole_run(chi)
-        i = run - 1
-        direction = chi.letters[run]
-        u = leftmost_useful_subword(chi, i, direction)
+        run = before[0]  # the first deviating curve is the hole run's length
+        u = leftmost_useful_subword(chi, run - 1, chi.letters[run])
         v = emit_slide_word(u, chi)
-        before = complexity(chi)
         for k in v.letters:
             chi = apply_generator(chi, abs(k), 1 if k > 0 else -1)
         after = complexity(chi)
@@ -210,5 +221,6 @@ def canonical_form(w: BraidWord, max_iterations: int | None = None) -> Canonical
             )
         slides.extend(v.letters)
         iterations += 1
+        before = after
     word = BraidWord(w.n, tuple(-k for k in reversed(slides)))
     return CanonicalResult(word, result_sign, iterations)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .words import MAX_STRANDS, BraidWord, SignResult, free_reduce
+from .words import MAX_STRANDS, BraidWord, SignResult, _quoted, free_reduce
 
 UP = -1
 DOWN = -2
@@ -50,6 +50,12 @@ def _check_strands(n: int) -> None:
 def _check_well_formed(n: int, letters) -> None:
     """Enforce the three structural conditions: endpoints, unique punctures,
     alternation of numbers and arrows (with value-adjacent hole pairs allowed).
+
+    One pass over the letters.  A letter's own fault raises at once; the
+    first adjacency fault is kept and raised only after the missing-holes
+    check, so a sequence with several faults reports the one that checking
+    each condition in turn would: endpoints, letters, missing holes,
+    adjacency.
     """
     _check_strands(n)
     top = 2 * n + 2
@@ -58,31 +64,35 @@ def _check_well_formed(n: int, letters) -> None:
     if letters[-1] != top:
         raise InvalidSequenceError(f"sequence must end with _{n + 1}")
     seen: set[int] = set()
+    adjacency = None
+    prev = UP  # a stand-in before _0: an arrow then a number is no fault
     for x in letters:
         if type(x) is not int or x < DOWN:
             raise InvalidSequenceError(f"not a cutting-sequence letter: {x!r}")
         if x < 0:
-            continue
-        if x & 1:
-            if x > top:
-                raise InvalidSequenceError(f"gap value {x >> 1} out of range 0..{n}")
-        elif x > top:
-            raise InvalidSequenceError(f"hole value {x >> 1} out of range 0..{n + 1}")
-        elif x in seen:
-            raise InvalidSequenceError(f"hole {x >> 1} occurs more than once")
+            if prev < 0 and adjacency is None:
+                adjacency = "two adjacent arrows"
         else:
-            seen.add(x)
-    missing = [k for k in range(n + 2) if 2 * k not in seen]
-    if missing:
+            if x & 1:
+                if x > top:
+                    raise InvalidSequenceError(f"gap value {x >> 1} out of range 0..{n}")
+            elif x > top:
+                raise InvalidSequenceError(f"hole value {x >> 1} out of range 0..{n + 1}")
+            elif x in seen:
+                raise InvalidSequenceError(f"hole {x >> 1} occurs more than once")
+            else:
+                seen.add(x)
+            if prev >= 0 and adjacency is None and (x & 1 or prev & 1 or abs(x - prev) != 2):
+                adjacency = (
+                    f"adjacent numbers {_format_letter(prev)} {_format_letter(x)} "
+                    "must be holes with adjacent values"
+                )
+        prev = x
+    if len(seen) < n + 2:
+        missing = [k for k in range(n + 2) if 2 * k not in seen]
         raise InvalidSequenceError(f"missing holes: {missing}")
-    for a, b in zip(letters, letters[1:]):
-        if a < 0 and b < 0:
-            raise InvalidSequenceError("two adjacent arrows")
-        if a >= 0 and b >= 0 and (a & 1 or b & 1 or abs(a - b) != 2):
-            raise InvalidSequenceError(
-                f"adjacent numbers {_format_letter(a)} {_format_letter(b)} "
-                "must be holes with adjacent values"
-            )
+    if adjacency is not None:
+        raise InvalidSequenceError(adjacency)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -126,10 +136,10 @@ def parse_sequence(text: str, n: int | None = None) -> CuttingSequence:
             if not (digits.isascii() and digits.isdigit()) or (
                 digits[0] == "0" and len(digits) > 1
             ):
-                raise InvalidSequenceError(f"bad token: {token!r}")
+                raise InvalidSequenceError(f"bad token: {_quoted(token)}")
             if len(digits) > _MAX_DIGITS:  # and before int() refuses it
                 raise InvalidSequenceError(
-                    f"bad token: {token!r}: value out of range for any strand count"
+                    f"bad token: {_quoted(token)}: value out of range for any strand count"
                     f" up to {MAX_STRANDS}"
                 )
             k = int(digits)
@@ -178,6 +188,11 @@ def puncture_walk(letters, pos: int, step: int):
 # Applied leftmost-innermost to a fixpoint.  The result is independent of the
 # application order (asserted by a randomized-order test), so the scan order
 # only fixes which intermediate words appear.
+#
+# A rule can fire on the window (a, b, c) only when a == c (collapse, and a
+# merge) or when b is an arrow between numbers at most 2 apart (absorption,
+# merge, straighten).  Both scans below test that first, so most windows
+# never reach _try_rule.
 
 
 def _try_rule(a: int, b: int, c: int) -> list[int] | None:
@@ -198,25 +213,32 @@ def _try_rule(a: int, b: int, c: int) -> list[int] | None:
     return None
 
 
-def _reduce_letters(letters) -> list[int]:
+def _reduce_letters(letters, start: int = 0) -> list[int]:
+    """The reduced form of ``letters``.  No window left of ``start`` may
+    fire on the input: the scan begins there and backs up only past what
+    a rule has changed."""
     out = list(letters)
-    i = 0
-    while i + 2 < len(out):
-        repl = _try_rule(out[i], out[i + 1], out[i + 2])
-        if repl is None:
-            i += 1
-        else:
-            out[i : i + 3] = repl
-            i = max(0, i - 2)  # a new window may have opened just to the left
+    i = start
+    end = len(out) - 2
+    while i < end:
+        a, b, c = out[i], out[i + 1], out[i + 2]
+        if a == c or (b < 0 and -2 <= a - c <= 2):
+            repl = _try_rule(a, b, c)
+            if repl is not None:
+                out[i : i + 3] = repl
+                end = len(out) - 2
+                i = max(0, i - 2)  # a new window may have opened just to the left
+                continue
+        i += 1
     return out
 
 
 def is_reduced(s: CuttingSequence) -> bool:
     letters = s.letters
-    return all(
-        _try_rule(letters[i], letters[i + 1], letters[i + 2]) is None
-        for i in range(len(letters) - 2)
-    )
+    for a, b, c in zip(letters, letters[1:], letters[2:]):
+        if (a == c or (b < 0 and -2 <= a - c <= 2)) and _try_rule(a, b, c) is not None:
+            return False
+    return True
 
 
 # --- generator action -------------------------------------------------------
@@ -252,11 +274,20 @@ def apply_generator(s: CuttingSequence, i: int, sign: int = 1) -> CuttingSequenc
     low, high = 2 * i, 2 * i + 2
     below, mid, above = 2 * i - 1, 2 * i + 1, 2 * i + 3
     letters = s.letters
+    # only the two holes (once each) and the crossings of (i, i+1) change;
+    # the runs between them are copied whole
+    spots = [letters.index(low), letters.index(high)]
+    p = -1
+    for _ in range(letters.count(mid)):
+        p = letters.index(mid, p + 1)
+        spots.append(p)
+    spots.sort()
     out: list[int] = []
-    for pos, x in enumerate(letters):
-        if x != low and x != high and x != mid:
-            out.append(x)
-            continue
+    done = 0
+    for pos in spots:
+        out += letters[done:pos]
+        done = pos + 1
+        x = letters[pos]
         # never first or last: the first letter is _0 (i >= 1) and the last
         # is _{n+1} (i <= n-1), so both neighbors exist
         left, right = letters[pos - 1], letters[pos + 1]
@@ -288,14 +319,16 @@ def apply_generator(s: CuttingSequence, i: int, sign: int = 1) -> CuttingSequenc
             out += [above, down, mid, up, below]
         else:
             raise RewriteError(f"crossing of ({i}, {i + 1}) not flanked by opposite arrows")
+    out += letters[done:]
 
     try:
         # The constructor's check is the one guard per generator.  It checks
         # the reduced result, which is what is returned; a malformation that
         # reduction removes (a crossing absorbed into a neighbouring
         # puncture) leaves a well-formed sequence, whose value the test
-        # suite's independent routes check.
-        return CuttingSequence(s.n, tuple(_reduce_letters(out)))
+        # suite's independent routes check.  The input is reduced, so no
+        # window ending before the first changed letter can fire.
+        return CuttingSequence(s.n, tuple(_reduce_letters(out, max(0, spots[0] - 2))))
     except InvalidSequenceError as e:
         # the rewrite table missed a context; never continue silently
         raise RewriteError(f"generator action broke the sequence: {e}") from e

@@ -134,6 +134,12 @@ def occurrence_order(s: CuttingSequence, k: int) -> tuple[int, ...]:
     """
     if not is_reduced(s):
         raise ValueError("input sequence must be reduced")
+    return _occurrence_order(s, k)
+
+
+def _occurrence_order(s: CuttingSequence, k: int) -> tuple[int, ...]:
+    """:func:`occurrence_order` of a sequence known to be reduced, such as
+    one the generator action has just made; reducedness is not checked."""
     right, left, holes = _walk_tables(s)
     spots = _crossings(s.letters, holes).get(k, [])
     return _interval_order(s, right, left, spots, k)

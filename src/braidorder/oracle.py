@@ -66,18 +66,23 @@ def artin_action(w: BraidWord) -> ArtinAutomorphism:
     An image holding none of the symbols a letter moves is kept as it is;
     only the others are rewritten."""
     images = [(j,) for j in range(1, w.n + 1)]
+    tables = {g: _substitution(g) for g in set(w.letters)}
     for g in w.letters:
-        table = _substitution(g)
+        table = tables[g]
         moved = table.keys()
         images = [img if moved.isdisjoint(img) else _substitute(table, img) for img in images]
     return ArtinAutomorphism(w.n, tuple(images))
 
 
 def braid_equal(a: BraidWord, b: BraidWord) -> bool:
-    """Do the two words represent the same braid?"""
+    """Do the two words represent the same braid?
+
+    The action is a faithful homomorphism, so a * b^-1 acts as the identity
+    exactly when a and b have the same images; comparing the two images
+    spares acting with the quotient, a word of length |a| + |b|."""
     if a.n != b.n:
         raise ValueError(f"strand count mismatch: {a.n} vs {b.n}")
-    return artin_action(a * b.inverse()).is_identity()
+    return artin_action(a).images == artin_action(b).images
 
 
 def enumerate_constrained(

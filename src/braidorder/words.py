@@ -82,6 +82,14 @@ _CHARS = re.compile(r"[-0-9\s]*")
 _LEADING_ZERO = re.compile(r"(?<![0-9])0[0-9]")
 
 
+def _quoted(token: str) -> str:
+    """``repr(token)`` for an error message; past 20 characters only its
+    first 20 and its length, so a message stays short whatever the input."""
+    if len(token) <= 20:
+        return repr(token)
+    return f"{token[:20]!r}... ({len(token)} characters)"
+
+
 def parse_letters(text: str) -> tuple[int, ...]:
     """The signed indices of whitespace-separated letters ("1 -2")."""
     if _CHARS.fullmatch(text) and not ("0" in text and _LEADING_ZERO.search(text)):
@@ -92,7 +100,7 @@ def parse_letters(text: str) -> tuple[int, ...]:
     bad = next((t for t in text.split() if not _LETTER.fullmatch(t)), None)
     if bad is None:
         raise WordError(f"letter out of range for any strand count up to {MAX_STRANDS}")
-    raise WordError(f"not an integer letter: {bad!r}")
+    raise WordError(f"not an integer letter: {_quoted(bad)}")
 
 
 def parse_word(text: str, strands: int) -> BraidWord:

@@ -22,7 +22,9 @@ from braidorder.canonical import (
     find_useful_subwords,
     leftmost_useful_subword,
 )
-from braidorder.cutseq import DOWN, UP, trivial_sequence
+from braidorder import canonical, cutseq, geometry
+from braidorder.cutseq import DOWN, UP, initial_hole_run, is_reduced, trivial_sequence
+from braidorder.geometry import _occurrence_order, occurrence_order
 from braidorder.order import Ordering
 from braidorder.words import format_word, is_sigma_consistent
 from conftest import STRAND_REGIMES, insert_identity, random_word
@@ -94,6 +96,59 @@ def test_leftmost_useful_subword_prefers_the_puncture_read():
     assert isinstance(u, UsefulSubword)
     assert u.hole_anchored
     assert u.values == (2, 0)
+
+
+def test_leftmost_useful_subword_checks_shape():
+    s = word_to_cutseq(parse_word("1", 3))
+    with pytest.raises(ValueError):
+        leftmost_useful_subword(s, 1, UP)
+    with pytest.raises(ValueError):
+        leftmost_useful_subword(s, 0, DOWN)
+
+
+def reference_leftmost_useful_subword(s, i, direction):
+    """Every arc read, then the puncture's arc or the crossing first in
+    real-line order."""
+    candidates = find_useful_subwords(s, i, direction)
+    for u in candidates:
+        if u.hole_anchored:
+            return u
+    by_anchor = {u.anchor: u for u in candidates}
+    return next(by_anchor[p] for p in occurrence_order(s, i) if p in by_anchor)
+
+
+def test_leftmost_useful_subword_matches_the_read_everything_reference(rng):
+    crossing_wins = 0
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        s = word_to_cutseq(random_word(rng, n, max_len=14))
+        if s.is_trivial():
+            continue
+        run = initial_hole_run(s)
+        u = leftmost_useful_subword(s, run - 1, s.letters[run])
+        assert u == reference_leftmost_useful_subword(s, run - 1, s.letters[run])
+        crossing_wins += not u.hole_anchored
+    assert crossing_wins > 20
+
+
+def test_canonical_form_checks_no_sequence_for_reducedness(monkeypatch):
+    # every sequence of the slide loop comes from the generator action
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return is_reduced(s)
+
+    monkeypatch.setattr(cutseq, "is_reduced", counted)
+    monkeypatch.setattr(geometry, "is_reduced", counted)
+    orders = []
+    monkeypatch.setattr(
+        canonical, "_occurrence_order", lambda s, k: orders.append(s) or _occurrence_order(s, k)
+    )
+    for text in ("1 1 2 -1 2 2", "-2 -1 2 2 2 -1 2 -1", "1 2 1 1 2 -3 2 2 1"):
+        canonical_form(parse_word(text, 4))
+    assert orders  # some slide read the crossings' order
+    assert calls == []
 
 
 def test_canonical_equals_input_as_braid(rng):

@@ -180,6 +180,18 @@ def test_overlong_digit_runs_exit_1_without_traceback():
         assert isinstance(r.exception, SystemExit), repr(r.exception)
 
 
+def test_parse_errors_quote_a_long_token_briefly():
+    for args, message in [
+        (("sign", "1 0" + "1" * 5_000), "not an integer letter: '0111"),
+        (("validate", "_0 ^ x" + "y" * 5_000 + " _1"), "bad token: 'xyyy"),
+    ]:
+        r = run(*args)
+        assert r.exit_code == 1
+        assert message in r.stderr
+        assert "(5001 characters)" in r.stderr
+        assert len(r.stderr) < 100
+
+
 def test_strand_mismatch_exits_nonzero():
     r = run("compare", "-n", "2", "1", "2")
     assert r.exit_code == 1

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from braidorder import (
@@ -163,6 +165,16 @@ def test_parse_refuses_more_digits_than_any_value_has():
     assert parse_sequence(" ".join(f"_{k}" for k in range(MAX_STRANDS + 2))).n == MAX_STRANDS
 
 
+def test_parse_error_quotes_a_long_token_by_its_start_and_length():
+    with pytest.raises(InvalidSequenceError) as e:
+        parse_sequence("_0 ^ x" + "y" * 5_000 + " _1")
+    assert str(e.value) == "bad token: 'xyyyyyyyyyyyyyyyyyyy'... (5001 characters)"
+    with pytest.raises(InvalidSequenceError) as e:
+        parse_sequence("_0 ^ " + "1" * 5_000 + " v _1 _2 _3")
+    assert str(e.value).startswith("bad token: '11111111111111111111'... (5000 characters): ")
+    assert len(str(e.value)) < 120
+
+
 def test_arrow_between_value_adjacent_holes_is_reducible_not_invalid():
     # hole pairs at distance one may sit together without an arrow
     s = parse_sequence("_0 ^ _2 _1 v _3 _4")
@@ -200,9 +212,110 @@ def test_generator_then_inverse_is_trivial(rng):
 
 def test_malformed_generator_result_is_a_rewrite_error(monkeypatch):
     # a broken result is the generator action's bug, not bad input
-    monkeypatch.setattr(cutseq, "_reduce_letters", lambda letters: [0, UP, 0, 6])
+    monkeypatch.setattr(cutseq, "_reduce_letters", lambda letters, start: [0, UP, 0, 6])
     with pytest.raises(RewriteError, match="generator action broke the sequence"):
         apply_generator(trivial_sequence(2), 1)
+
+
+def reference_apply_generator(s, i, sign):
+    """The generator action letter by letter, reduced from the first window:
+    every letter is looked at, and the whole result is scanned."""
+    up, down = (UP, DOWN) if sign > 0 else (DOWN, UP)
+    low, high = 2 * i, 2 * i + 2
+    below, mid, above = 2 * i - 1, 2 * i + 1, 2 * i + 3
+    letters = s.letters
+    out = []
+    for pos, x in enumerate(letters):
+        if x != low and x != high and x != mid:
+            out.append(x)
+            continue
+        left, right = letters[pos - 1], letters[pos + 1]
+        if x == low:
+            if left == down:
+                out += [below, up]
+            elif left == low - 2:
+                out.append(up)
+            out.append(high)
+            if right == down:
+                out += [up, below]
+            elif right == low - 2:
+                out.append(up)
+        elif x == high:
+            if left == up:
+                out += [above, down]
+            elif left == high + 2:
+                out.append(down)
+            out.append(low)
+            if right == up:
+                out += [down, above]
+            elif right == high + 2:
+                out.append(down)
+        elif left == down and right == up:
+            out += [below, up, mid, down, above]
+        elif left == up and right == down:
+            out += [above, down, mid, up, below]
+        else:
+            raise RewriteError("crossing not flanked by opposite arrows")
+    return tuple(cutseq._reduce_letters(out))
+
+
+def test_generator_action_matches_the_letter_by_letter_reference():
+    # random walks from the trivial sequence, each step one (sequence,
+    # generator, sign) triple, until the image has several hundred letters
+    # (at n = 2 a walk grows slowly, so it stops after 100 steps)
+    rng = random.Random(60417)
+    longest = steps = 0
+    for walk in range(90):
+        n = 2 + walk % 9
+        s = trivial_sequence(n)
+        for _ in range(100):
+            if len(s.letters) >= 300:
+                break
+            i, sign = rng.randint(1, n - 1), rng.choice((1, -1))
+            t = apply_generator(s, i, sign)
+            assert t.letters == reference_apply_generator(s, i, sign), (format_sequence(s), i, sign)
+            s = t
+            steps += 1
+        longest = max(longest, len(s.letters))
+    assert steps > 3_000 and longest >= 300
+
+
+# The first fault of a sequence with several, as the constructor reports it.
+# The texts are those of a check that ran the conditions one after another:
+# endpoints, then each letter's own faults, then missing holes, then the
+# first adjacency fault.
+MULTI_FAULT = [
+    (2, (), "sequence must start with _0"),
+    (2, (2, UP, UP), "sequence must start with _0"),
+    (2, (0, "x", 4), "sequence must end with _3"),
+    (2, (0, UP, UP, 3, 3, 6), "missing holes: [1, 2]"),
+    (2, (0, 3, 3, UP, 6), "missing holes: [1, 2]"),
+    (2, (0, 2, 2, UP, UP, 6), "hole 1 occurs more than once"),
+    (2, (0, 3, 2, 2, 4, 6), "hole 1 occurs more than once"),
+    (3, (0, 2, 6, UP, 4, 8, 6, 8), "hole 3 occurs more than once"),
+    (2, (0, UP, DOWN, 2, 3, 4, 6), "two adjacent arrows"),
+    (3, (0, UP, 2, UP, 6, 4, UP, UP, 8), "two adjacent arrows"),
+    (2, (0, UP, 1, UP, 2, DOWN, DOWN, 4, 6), "two adjacent arrows"),
+    (2, (0, 3, 2, UP, DOWN, 4, 6), "adjacent numbers _0 1 must be holes with adjacent values"),
+    (2, (0, 4, 2, 6), "adjacent numbers _0 _2 must be holes with adjacent values"),
+    (3, (0, UP, 3, 3, DOWN, 2, 4, 6, 8), "adjacent numbers 1 1 must be holes with adjacent values"),
+    (3, (0, 2, UP, 3, 3, 4, DOWN, 6, 8), "adjacent numbers 1 1 must be holes with adjacent values"),
+    (2, (0, 99, UP, "x", 6), "gap value 49 out of range 0..2"),
+    (2, (0, UP, UP, 99, 2, 4, 6), "gap value 49 out of range 0..2"),
+    (2, (0, UP, 20, 6), "hole value 10 out of range 0..3"),
+    (2, (0, None, 0, 6), "not a cutting-sequence letter: None"),
+    (2, (0, UP, UP, None, 6), "not a cutting-sequence letter: None"),
+    (2, (0, True, 2, 4, 6), "not a cutting-sequence letter: True"),
+    (2, (0, -3, 2, 4, 6), "not a cutting-sequence letter: -3"),
+    (2, (0, 1.0, 2, 4, 6), "not a cutting-sequence letter: 1.0"),
+]
+
+
+@pytest.mark.parametrize("n, letters, message", MULTI_FAULT)
+def test_first_of_several_faults_is_reported(n, letters, message):
+    with pytest.raises(InvalidSequenceError) as e:
+        CuttingSequence(n, letters)
+    assert str(e.value) == message
 
 
 def test_each_generator_checks_its_result_once(monkeypatch):

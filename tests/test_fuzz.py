@@ -1,10 +1,10 @@
 """Fuzzing the input boundary: only documented errors ever escape.
 
 Hypothesis drives the sequence parser, the ``CuttingSequence`` constructor,
-``validate`` and the CLI ``validate`` command with token soups, raw text and
-letter tuples of every type.  Construction may only raise
-``InvalidSequenceError``, ``validate`` on anything that constructs always
-returns a ``Validation``, and the CLI exits 0 or 1 without a traceback.
+``validate`` and every CLI command with token soups, raw text and letter
+tuples of every type.  Construction may only raise ``InvalidSequenceError``,
+``validate`` on anything that constructs always returns a ``Validation``,
+and the CLI exits 0 or 1 without a traceback.
 The runs are derandomized and use no example database, so every run draws
 the same examples.
 """
@@ -112,3 +112,60 @@ def test_cli_validate_exits_zero_or_one_without_traceback(text, as_json):
     assert r.exit_code in (0, 1), r.output
     assert r.exception is None or isinstance(r.exception, SystemExit), repr(r.exception)
     assert "Traceback" not in r.output
+
+
+# word tokens: valid letters, spellings int() would take, indices past any
+# strand count, and stray symbols; at most 10 of them, so that canonical and
+# cutseq stay fast on the valid words
+LETTERS_OK = st.integers(-9, 9).filter(bool).map(str)
+WORD_TOKENS = st.one_of(
+    LETTERS_OK,
+    st.sampled_from(["0", "+1", "01", "-02", "1_0", "\u0663", "\uff11", "1.5"]),
+    st.sampled_from(["10000", "99999999", "1" * 30, "-" + "9" * 5_000]),
+    st.sampled_from(["-", "--", "x", "_1", "^", ",", "-n", "--json"]),
+)
+WORDS = st.one_of(
+    st.lists(LETTERS_OK, max_size=10).map(" ".join),
+    st.lists(WORD_TOKENS, max_size=10).map(" ".join),
+    st.text(max_size=20),
+)
+
+
+def _invoke_cli(command, texts, strands, as_json):
+    args = [command]
+    if strands is not None:
+        args += ["-n", str(strands)]
+    if as_json:
+        args.append("--json")
+    # as for validate, "--" only when a text could be read as an option:
+    # one starting with "--", or a dash followed by a cluster that holds
+    # the short option "n" ("-1 n" reads as "-1", " ", "-n")
+    if any(t.startswith("--") or (t.startswith("-") and "n" in t) for t in texts):
+        args.append("--")
+    r = CliRunner().invoke(main, args + list(texts))
+    assert r.exit_code in (0, 1), r.output
+    assert r.exception is None or isinstance(r.exception, SystemExit), repr(r.exception)
+    assert "Traceback" not in r.output
+
+
+@settings(FUZZ, max_examples=60)
+@given(
+    st.sampled_from(["sign", "canonical", "cutseq"]),
+    WORDS,
+    st.one_of(st.none(), st.integers(0, 11)),
+    st.booleans(),
+)
+def test_cli_word_commands_exit_zero_or_one_without_traceback(command, word, strands, as_json):
+    _invoke_cli(command, [word], strands, as_json)
+
+
+@settings(FUZZ, max_examples=60)
+@given(
+    st.sampled_from(["compare", "equal"]),
+    WORDS,
+    WORDS,
+    st.one_of(st.none(), st.integers(0, 11)),
+    st.booleans(),
+)
+def test_cli_pair_commands_exit_zero_or_one_without_traceback(command, left, right, strands, as_json):
+    _invoke_cli(command, [left, right], strands, as_json)

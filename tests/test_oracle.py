@@ -94,6 +94,29 @@ def test_braid_equal_is_invariant_under_rewrites(rng):
         assert braid_equal(w, insert_identity(rng, w))
 
 
+def reference_braid_equal(a, b):
+    """The quotient a * b^-1 acts as the identity."""
+    return artin_action(a * b.inverse()).is_identity()
+
+
+def test_braid_equal_matches_the_quotient_reference():
+    rng = random.Random(31337)
+    equal = unequal = 0
+    for _ in range(600):
+        a = random_word(rng, rng.randint(2, 8), max_len=14)
+        if rng.random() < 0.5:
+            b = a
+            for _ in range(rng.randint(1, 3)):
+                b = insert_identity(rng, b)
+        else:
+            b = random_word(rng, a.n, max_len=14)
+        result = braid_equal(a, b)
+        assert result == reference_braid_equal(a, b), (str(a), str(b))
+        equal += result
+        unequal += not result
+    assert equal > 250 and unequal > 250
+
+
 def test_permutation_factors_through_the_action(rng):
     """Sending each free generator to its index abelianizes the action to the
     permutation: letter counts of image words locate the moved puncture."""

@@ -17,9 +17,9 @@ import random
 
 import pytest
 
-from braidorder import BraidWord, word_to_cutseq
+from braidorder import BraidWord, CuttingSequence, word_to_cutseq
 from braidorder.canonical import CanonicalError, UsefulSubword, emit_slide_word
-from braidorder.cutseq import DOWN, UP, _reduce_letters, _try_rule
+from braidorder.cutseq import DOWN, UP, _reduce_letters, _try_rule, is_reduced
 from braidorder.order import _strip_and_reduce
 from conftest import random_word
 
@@ -200,6 +200,35 @@ def test_rule_table_unchanged_on_sequence_windows():
         want = _reference_try_rule(*window)
         got = _try_rule(*as_ints(window))
         assert got == (None if want is None else as_ints(want)), window
+
+
+def random_alternating_sequence(rng, n):
+    """A well-formed sequence on n strands: every hole once, in random
+    order, with zero to two excursions through random crossings between
+    consecutive holes; reduced or not, as it falls."""
+    holes = [2 * k for k in range(1, n + 1)]
+    rng.shuffle(holes)
+    letters = [0]
+    for hole in holes + [2 * n + 2]:
+        for _ in range(rng.randint(0, 2)):
+            letters += [rng.choice((UP, DOWN)), 2 * rng.randint(0, n) + 1]
+        letters += [rng.choice((UP, DOWN)), hole]
+    return CuttingSequence(n, tuple(letters))
+
+
+def test_is_reduced_matches_every_window_reference():
+    rng = random.Random(5151)
+    reduced = 0
+    for _ in range(2000):
+        s = random_alternating_sequence(rng, rng.randint(2, 5))
+        for t in (s, CuttingSequence(s.n, tuple(_reduce_letters(s.letters)))):
+            objects = as_objects(t.letters)
+            want = all(
+                _reference_try_rule(*objects[i : i + 3]) is None for i in range(len(objects) - 2)
+            )
+            assert is_reduced(t) == want, str(t)
+            reduced += want
+    assert 2000 < reduced < 3000
 
 
 def test_stripped_puncture_only_collapses():

@@ -46,6 +46,15 @@ def test_parse_rejects_garbage():
             parse_word(text, 12)
 
 
+def test_parse_error_quotes_a_long_token_by_its_start_and_length():
+    with pytest.raises(WordError) as e:
+        parse_word("1 0" + "1" * 5_000, 3)
+    assert str(e.value) == "not an integer letter: '01111111111111111111'... (5001 characters)"
+    with pytest.raises(WordError) as e:  # 20 characters are quoted whole
+        parse_word("+" + "1" * 19, 3)
+    assert str(e.value) == f"not an integer letter: {'+' + '1' * 19!r}"
+
+
 def test_parse_digit_runs():
     # a zero after the first digit is no leading zero
     assert parse_word("10 -10 100", 101).letters == (10, -10, 100)
