@@ -16,8 +16,10 @@ from __future__ import annotations
 import dataclasses
 
 from .cutseq import (
+    DOWN,
     UP,
     CuttingSequence,
+    _positions,
     _reduce_letters,
     apply_generator,
     initial_hole_run,
@@ -83,14 +85,11 @@ def _crossing_subwords(s: CuttingSequence, i: int, direction: int) -> list[Usefu
     """The usable reads of the crossings of (i, i+1), in sequence order."""
     letters = s.letters
     out = []
-    for p, x in enumerate(letters):
-        if x == 2 * i + 1:
-            step = 1 if letters[p + 1] == direction else -1
-            read = _read_arc(s, p, step, i)
-            if read is not None:
-                out.append(
-                    UsefulSubword(read[0], read[1], hole_anchored=False, anchor=p)
-                )
+    for p in _positions(letters, 2 * i + 1):
+        step = 1 if letters[p + 1] == direction else -1
+        read = _read_arc(s, p, step, i)
+        if read is not None:
+            out.append(UsefulSubword(read[0], read[1], hole_anchored=False, anchor=p))
     return out
 
 
@@ -201,7 +200,10 @@ def canonical_form(w: BraidWord, max_iterations: int | None = None) -> Canonical
     chi = word_to_cutseq(w)
     result_sign = sign_of(chi)
     if max_iterations is None:
-        crossings = sum(1 for x in chi.letters if x > 0 and x & 1)
+        # a checked sequence holds exactly n + 2 holes; the rest are arrows
+        # and crossings
+        letters = chi.letters
+        crossings = len(letters) - letters.count(UP) - letters.count(DOWN) - (chi.n + 2)
         max_iterations = 10 * (1 + crossings)
     slides: list[int] = []
     iterations = 0

@@ -135,6 +135,12 @@ def validate_cmd(sequence, as_json):
 @strands_option
 @json_option
 def equal_cmd(left, right, strands, as_json):
-    """Whether LEFT and RIGHT are the same braid (by free-group action)."""
+    """Whether LEFT and RIGHT are the same braid.
+
+    Different exponent sums (letters counted +1 and -1) answer false at
+    once.  Otherwise the free-group images of x_1, x_2, ... under both
+    words are compared in turn; the first that differs answers false, and
+    true needs every image to agree.
+    """
     res = braid_equal(_parse(left, strands, right), _parse(right, strands, left))
     _emit(as_json, {"equal": res}, "true" if res else "false")

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .words import MAX_STRANDS, BraidWord, SignResult, _quoted, free_reduce
+from .words import MAX_STRANDS, BraidWord, SignResult, _brief, _quoted, free_reduce
 
 UP = -1
 DOWN = -2
@@ -44,7 +44,7 @@ class RewriteError(RuntimeError):
 
 def _check_strands(n: int) -> None:
     if not 2 <= n <= MAX_STRANDS:
-        raise InvalidSequenceError(f"strand count {n} out of range 2..{MAX_STRANDS}")
+        raise InvalidSequenceError(f"strand count {_brief(n)} out of range 2..{MAX_STRANDS}")
 
 
 def _check_well_formed(n: int, letters) -> None:
@@ -68,16 +68,16 @@ def _check_well_formed(n: int, letters) -> None:
     prev = UP  # a stand-in before _0: an arrow then a number is no fault
     for x in letters:
         if type(x) is not int or x < DOWN:
-            raise InvalidSequenceError(f"not a cutting-sequence letter: {x!r}")
+            raise InvalidSequenceError(f"not a cutting-sequence letter: {_brief(x)}")
         if x < 0:
             if prev < 0 and adjacency is None:
                 adjacency = "two adjacent arrows"
         else:
             if x & 1:
                 if x > top:
-                    raise InvalidSequenceError(f"gap value {x >> 1} out of range 0..{n}")
+                    raise InvalidSequenceError(f"gap value {_brief(x >> 1)} out of range 0..{n}")
             elif x > top:
-                raise InvalidSequenceError(f"hole value {x >> 1} out of range 0..{n + 1}")
+                raise InvalidSequenceError(f"hole value {_brief(x >> 1)} out of range 0..{n + 1}")
             elif x in seen:
                 raise InvalidSequenceError(f"hole {x >> 1} occurs more than once")
             else:
@@ -160,6 +160,17 @@ def _format_letter(x: int) -> str:
     if x < 0:
         return "^" if x == UP else "v"
     return str(x >> 1) if x & 1 else f"_{x >> 1}"
+
+
+def _positions(letters: tuple[int, ...], x: int) -> list[int]:
+    """The positions of ``x`` in ``letters``, ascending, found by the C-level
+    ``tuple.count`` and ``tuple.index`` instead of a Python loop per letter."""
+    out = []
+    p = -1
+    for _ in range(letters.count(x)):
+        p = letters.index(x, p + 1)
+        out.append(p)
+    return out
 
 
 def puncture_walk(letters, pos: int, step: int):
@@ -276,12 +287,7 @@ def apply_generator(s: CuttingSequence, i: int, sign: int = 1) -> CuttingSequenc
     letters = s.letters
     # only the two holes (once each) and the crossings of (i, i+1) change;
     # the runs between them are copied whole
-    spots = [letters.index(low), letters.index(high)]
-    p = -1
-    for _ in range(letters.count(mid)):
-        p = letters.index(mid, p + 1)
-        spots.append(p)
-    spots.sort()
+    spots = sorted([letters.index(low), letters.index(high), *_positions(letters, mid)])
     out: list[int] = []
     done = 0
     for pos in spots:

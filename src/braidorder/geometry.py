@@ -11,9 +11,10 @@ interval crossings at odd values 2k+1 (see :mod:`braidorder.cutseq`).
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 
-from .cutseq import DOWN, UP, CuttingSequence, is_reduced
+from .cutseq import DOWN, UP, CuttingSequence, _positions, is_reduced
 
 
 class AmbiguityError(ValueError):
@@ -139,9 +140,20 @@ def occurrence_order(s: CuttingSequence, k: int) -> tuple[int, ...]:
 
 def _occurrence_order(s: CuttingSequence, k: int) -> tuple[int, ...]:
     """:func:`occurrence_order` of a sequence known to be reduced, such as
-    one the generator action has just made; reducedness is not checked."""
+    one the generator action has just made; reducedness is not checked.
+
+    Only interval k is read: its crossings are found by ``tuple.index``,
+    and each one's bracketing holes by bisecting the hole positions.  With
+    fewer than two crossings there is nothing to order and no walk table
+    is built."""
+    positions = _positions(s.letters, 2 * k + 1) if k >= 0 else []
+    if len(positions) < 2:
+        return tuple(positions)
     right, left, holes = _walk_tables(s)
-    spots = _crossings(s.letters, holes).get(k, [])
+    spots = []
+    for p in positions:
+        j = bisect.bisect(holes, p)  # a crossing is never first or last
+        spots.append((p, holes[j - 1], holes[j]))
     return _interval_order(s, right, left, spots, k)
 
 

@@ -4,7 +4,9 @@ The braid group acts faithfully on the free group generated by loops
 x_1..x_n around the punctures: generator i maps x_i to x_i x_{i+1} x_i^-1,
 x_{i+1} to x_i, and fixes the rest.  Two words are equal as braids exactly
 when their composed substitutions agree, which reduces equality to freely
-reducing words.  None of the cutting-sequence machinery is used here, so
+reducing words; :func:`braid_equal` checks the exponent sum first and then
+one image at a time, stopping at the first that differs.  None of the
+cutting-sequence machinery is used here, and words are never shortened, so
 this module can referee it.
 """
 
@@ -60,29 +62,47 @@ class ArtinAutomorphism:
         return all(img == (j + 1,) for j, img in enumerate(self.images))
 
 
-def artin_action(w: BraidWord) -> ArtinAutomorphism:
-    """Compose the letter substitutions in word order (leftmost acts first).
-
-    An image holding none of the symbols a letter moves is kept as it is;
-    only the others are rewritten."""
-    images = [(j,) for j in range(1, w.n + 1)]
-    tables = {g: _substitution(g) for g in set(w.letters)}
-    for g in w.letters:
+def _image(letters, tables: dict[int, dict[int, FreeWord]], j: int) -> FreeWord:
+    """The image of x_j under the word ``letters``, composing the letter
+    substitutions ``tables[g]`` in word order (leftmost acts first).  Each
+    image evolves on its own; one holding none of the symbols a letter
+    moves is kept as it is."""
+    image: FreeWord = (j,)
+    for g in letters:
         table = tables[g]
-        moved = table.keys()
-        images = [img if moved.isdisjoint(img) else _substitute(table, img) for img in images]
-    return ArtinAutomorphism(w.n, tuple(images))
+        if not table.keys().isdisjoint(image):
+            image = _substitute(table, image)
+    return image
+
+
+def artin_action(w: BraidWord) -> ArtinAutomorphism:
+    """The images of x_1..x_n under the word's composed substitution."""
+    tables = {g: _substitution(g) for g in set(w.letters)}
+    return ArtinAutomorphism(w.n, tuple(_image(w.letters, tables, j) for j in range(1, w.n + 1)))
 
 
 def braid_equal(a: BraidWord, b: BraidWord) -> bool:
     """Do the two words represent the same braid?
 
-    The action is a faithful homomorphism, so a * b^-1 acts as the identity
-    exactly when a and b have the same images; comparing the two images
-    spares acting with the quotient, a word of length |a| + |b|."""
+    The first invariant that differs decides.  The exponent sum (letters
+    counted +1 and -1) is the abelianization B_n -> Z, a homomorphism, so
+    words with different sums are different braids.  Otherwise the images
+    of x_1, x_2, ... under a and under b are compared one strand at a time,
+    and the first that differs answers False.  The action is faithful, so
+    the words are the same braid exactly when every image agrees (which
+    spares acting with the quotient a * b^-1, of length |a| + |b|)."""
     if a.n != b.n:
         raise ValueError(f"strand count mismatch: {a.n} vs {b.n}")
-    return artin_action(a).images == artin_action(b).images
+    if _exponent_sum(a.letters) != _exponent_sum(b.letters):
+        return False
+    tables = {g: _substitution(g) for g in {*a.letters, *b.letters}}
+    return all(
+        _image(a.letters, tables, j) == _image(b.letters, tables, j) for j in range(1, a.n + 1)
+    )
+
+
+def _exponent_sum(letters) -> int:
+    return sum(1 if k > 0 else -1 for k in letters)
 
 
 def enumerate_constrained(

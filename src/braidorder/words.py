@@ -30,11 +30,11 @@ class BraidWord:
 
     def __post_init__(self):
         if not 2 <= self.n <= MAX_STRANDS:
-            raise WordError(f"strand count {self.n} out of range 2..{MAX_STRANDS}")
+            raise WordError(f"strand count {_brief(self.n)} out of range 2..{MAX_STRANDS}")
         letters = tuple(self.letters)
         for k in letters:
             if k == 0 or abs(k) > self.n - 1:
-                raise WordError(f"letter {k!r} out of range for {self.n} strands")
+                raise WordError(f"letter {_brief(k)} out of range for {self.n} strands")
         object.__setattr__(self, "letters", letters)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
@@ -88,6 +88,15 @@ def _quoted(token: str) -> str:
     if len(token) <= 20:
         return repr(token)
     return f"{token[:20]!r}... ({len(token)} characters)"
+
+
+def _brief(x) -> str:
+    """``repr(x)`` for an error message; an int past 20 digits as its bit
+    length, which needs no decimal conversion (CPython refuses to convert
+    one past 4,300 digits, and a long one would swamp the message)."""
+    if type(x) is int and not -(10**20) < x < 10**20:
+        return f"{'-' if x < 0 else ''}<{abs(x).bit_length()}-bit number>"
+    return repr(x)
 
 
 def parse_letters(text: str) -> tuple[int, ...]:

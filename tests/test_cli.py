@@ -206,6 +206,17 @@ def test_too_many_strands_exits_1():
     assert "out of range" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "args", [("sign", "1 " + "9" * 4000), ("sign", "-n", "3", "9" * 4000)], ids=["strands", "letter"]
+)
+def test_huge_number_exits_1_with_a_short_message(args):
+    r = run(*args)
+    assert r.exit_code == 1
+    assert "out of range" in r.stderr and "-bit number" in r.stderr
+    assert len(r.stderr) < 100
+    assert "Traceback" not in r.output
+
+
 @pytest.mark.parametrize("error", [RewriteError, CanonicalError, AmbiguityError])
 def test_internal_error_exits_3_with_one_line(monkeypatch, error):
     def broken(*args, **kwargs):

@@ -16,6 +16,7 @@ from braidorder.cutseq import (
     UP,
     RewriteError,
     _check_well_formed,
+    _positions,
     apply_generator,
     initial_hole_run,
     is_reduced,
@@ -68,6 +69,27 @@ def test_strand_count_is_bounded():
     too_many = tuple(range(0, 2 * MAX_STRANDS + 5, 2))
     with pytest.raises(InvalidSequenceError, match="strand count"):
         CuttingSequence(MAX_STRANDS + 1, too_many)
+
+
+@pytest.mark.parametrize(
+    "n, letters",
+    [(10**5000, (0,)), (3, (0, 10**5000, 8)), (3, (0, 10**5000 + 1, 8)), (3, (0, -(10**5000), 8))],
+    ids=["strands", "hole", "gap", "negative"],
+)
+def test_huge_numbers_give_a_short_sequence_error(n, letters):
+    # formatting the number itself would raise a plain ValueError past 4,300
+    # digits; the message gives its bit length instead
+    with pytest.raises(InvalidSequenceError) as e:
+        CuttingSequence(n, letters)
+    assert len(str(e.value)) < 100
+    assert "-bit number" in str(e.value)
+
+
+def test_positions_lists_every_occurrence_in_order(rng):
+    for _ in range(100):
+        letters = word_to_cutseq(random_word(rng, rng.randint(2, 6))).letters
+        for x in set(letters) | {UP, DOWN, 99}:
+            assert _positions(letters, x) == [p for p, y in enumerate(letters) if y == x]
 
 
 def test_trivial_sequence_checks_the_bound_first():

@@ -26,6 +26,7 @@ import pytest
 
 from braidorder import (
     AmbiguityError,
+    canonical_form,
     parse_sequence,
     parse_word,
     validate,
@@ -430,6 +431,47 @@ def test_validate_checks_reducedness_once(monkeypatch):
     assert max(s.letters.count(2 * k + 1) for k in range(4)) >= 2
     assert validate(s).ok
     assert len(calls) == 1
+
+
+def all_intervals_order(s, k):
+    """The order of interval k as ``validate`` reaches it: every interval's
+    crossings listed by ``_crossings``, then interval k's sorted."""
+    right, left, holes = geometry._walk_tables(s)
+    spots = geometry._crossings(s.letters, holes).get(k, [])
+    return geometry._interval_order(s, right, left, spots, k)
+
+
+def test_private_occurrence_order_matches_the_all_intervals_route(rng):
+    crossing_counts = set()
+    for s in equivalence_cases(rng, 600):
+        if not is_reduced(s):
+            continue
+        for k in range(-1, s.n + 2):
+            want = outcome(all_intervals_order, s, k)
+            assert outcome(geometry._occurrence_order, s, k) == want, (str(s), k)
+            assert outcome(occurrence_order, s, k) == want, (str(s), k)
+            if 0 <= k <= s.n:
+                crossing_counts.add(min(s.letters.count(2 * k + 1), 2))
+    assert crossing_counts == {0, 1, 2}  # none, one, and several to sort
+
+
+def test_private_occurrence_order_reads_only_its_interval(monkeypatch, rng):
+    def refuse(*args):
+        raise AssertionError("every interval's crossings were listed")
+
+    tables = []
+    walk_tables = geometry._walk_tables
+    monkeypatch.setattr(geometry, "_crossings", refuse)
+    monkeypatch.setattr(geometry, "_walk_tables", lambda s: tables.append(s) or walk_tables(s))
+    for _ in range(200):
+        s = word_to_cutseq(random_word(rng, rng.randint(2, 8), max_len=12))
+        for k in range(s.n + 1):
+            tables.clear()
+            order = geometry._occurrence_order(s, k)
+            # walk tables are built only when there is something to sort
+            assert len(tables) == (len(order) >= 2)
+    for text in ("1 1 2 -1 2 2", "-2 -1 2 2 2 -1 2 -1", "1 2 1 1 2 -3 2 2 1"):
+        canonical_form(parse_word(text, 4))
 
 
 # --- the sort-and-verify helper on synthetic keys ------------------------------

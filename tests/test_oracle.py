@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from braidorder import braid_equal, parse_word
+from braidorder import BraidWord, braid_equal, oracle, parse_word
 from braidorder.oracle import ArtinAutomorphism, artin_action, enumerate_constrained
 from braidorder.words import permutation_image
 from conftest import insert_identity, random_word
@@ -115,6 +115,91 @@ def test_braid_equal_matches_the_quotient_reference():
         equal += result
         unequal += not result
     assert equal > 250 and unequal > 250
+
+
+def reference_all_images_equal(a, b):
+    """Every image of a against every image of b, each built symbol by
+    symbol for every letter."""
+    return reference_artin_action(a).images == reference_artin_action(b).images
+
+
+def exponent_sum(w):
+    return sum(1 if k > 0 else -1 for k in w.letters)
+
+
+def same_sum_partner(rng, a):
+    """A word with a's exponent sum: a letter swapped for another of the same
+    sign, a reversed, or a conjugated."""
+    kind = rng.randrange(3)
+    if kind == 0 and a.letters:
+        letters = list(a.letters)
+        p = rng.randrange(len(letters))
+        sign = 1 if letters[p] > 0 else -1
+        letters[p] = sign * rng.randint(1, a.n - 1)
+        return BraidWord(a.n, tuple(letters))
+    if kind == 1:
+        return BraidWord(a.n, a.letters[::-1])
+    c = random_word(rng, a.n, max_len=4, min_len=1)
+    return c * a * c.inverse()
+
+
+def test_braid_equal_matches_the_all_images_reference():
+    # the quotient test above mostly exits on the exponent sum; these pairs
+    # share it, so the strand-by-strand comparison decides them
+    rng = random.Random(40213)
+    same_sum_unequal = equal = 0
+    for j in range(2400):
+        a = random_word(rng, 2 + j % 9, max_len=12)
+        if j % 4 == 3:
+            b = a
+            for _ in range(rng.randint(1, 3)):
+                b = insert_identity(rng, b)
+        else:
+            b = same_sum_partner(rng, a)
+        assert exponent_sum(a) == exponent_sum(b)
+        result = braid_equal(a, b)
+        assert result == reference_all_images_equal(a, b), (str(a), str(b))
+        same_sum_unequal += not result
+        equal += result
+    assert same_sum_unequal >= 1000 and equal >= 600
+
+
+def counting(monkeypatch, name):
+    """Replace ``oracle.<name>`` by a wrapper recording each call's arguments."""
+    calls = []
+    original = getattr(oracle, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(oracle, name, counted)
+    return calls
+
+
+def test_braid_equal_stops_at_different_exponent_sums(monkeypatch):
+    substitutions = counting(monkeypatch, "_substitute")
+    assert not braid_equal(parse_word("1 2 -1 2", 3), parse_word("2 1 -2 -1", 3))
+    assert substitutions == []
+
+
+def test_braid_equal_stops_at_the_first_image_that_differs(monkeypatch):
+    images = counting(monkeypatch, "_image")
+    a, b = parse_word("1 2 1", 4), parse_word("2 1 1", 4)
+    assert artin_action(a).images[0] != artin_action(b).images[0]
+    images.clear()
+    assert not braid_equal(a, b)
+    assert [j for _, _, j in images] == [1, 1]  # x_1 under a, then under b
+    images.clear()
+    # both fix x_1, and x_2 tells them apart
+    assert not braid_equal(parse_word("2", 4), parse_word("3", 4))
+    assert [j for _, _, j in images] == [1, 1, 2, 2]
+
+
+def test_braid_equal_builds_every_image_of_equal_braids(monkeypatch):
+    images = counting(monkeypatch, "_image")
+    assert braid_equal(parse_word("1 2 1 3", 4), parse_word("2 1 2 3", 4))
+    assert sorted(j for _, _, j in images) == [1, 1, 2, 2, 3, 3, 4, 4]
 
 
 def test_permutation_factors_through_the_action(rng):

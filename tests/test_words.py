@@ -78,6 +78,27 @@ def test_strand_count_is_bounded():
         parse_word("", 10**9)
 
 
+@pytest.mark.parametrize(
+    "make", [lambda: BraidWord(3, (10**5000,)), lambda: BraidWord(3, (-(10**5000),)),
+             lambda: BraidWord(10**5000)],
+    ids=["letter", "negative letter", "strands"],
+)
+def test_huge_numbers_give_a_short_word_error(make):
+    # formatting the number itself would raise a plain ValueError past 4,300
+    # digits; the message gives its bit length instead
+    with pytest.raises(WordError, match="out of range") as e:
+        make()
+    assert len(str(e.value)) < 100
+    assert "16610-bit number" in str(e.value)
+
+
+def test_numbers_up_to_20_digits_are_quoted_whole():
+    with pytest.raises(WordError, match=f"letter {10**20 - 1} out of range"):
+        BraidWord(3, (10**20 - 1,))
+    with pytest.raises(WordError, match="letter <67-bit number> out of range"):
+        BraidWord(3, (10**20,))
+
+
 def test_format_round_trip(rng):
     for _ in range(200):
         n = rng.randint(2, 5)
