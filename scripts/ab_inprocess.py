@@ -1,0 +1,171 @@
+"""Parent/change timing in one process, with the passes interleaved.
+
+    python3 scripts/ab_inprocess.py PARENT CHANGE --workload random_words \
+        --seed 8 --passes 14
+
+PARENT and CHANGE are two checkouts of the repository.  ``braidorder`` is
+imported from ``src/`` of each under its own package name, so both live in
+one process and meet the same state of the machine.  The corpus of
+``--workload`` and ``--seed`` is built by this repository's
+``bench/corpus.py``, once with each side's library; the two must come out
+the same.  Then each round runs one pass of the corpus on each side, the
+side that goes first alternating from round to round, with ``gc.collect()``
+before every pass.  As in ``bench/run.py``, an operation's time is its best
+over its side's passes, and every output is checked by ``bench/run.py``'s
+``Checker`` of its side.
+
+Before the timing, both sides take ``canonical_form`` and
+``word_to_cutseq`` of the same 3,000 seeded random words (n = 2..9, length
+0..16), and every result must be the same on both sides.
+
+It prints, for each operation kind, the milliseconds per operation on each
+side (the mean of the best times) and the change/parent ratio, then the
+ops/s of each side and their ratio.  It exits 1 on a wrong or differing
+answer.  Standard library only; ``bench/`` is read, never written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib
+import importlib.util
+import random
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+AGREEMENT_WORDS = 3_000
+
+
+def load_bench_run():
+    """``bench/run.py`` of this repository as a module (it imports
+    ``bench/corpus.py`` itself)."""
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def load_library(checkout: Path, package: str, module_names) -> dict:
+    """The modules ``module_names`` (``braidorder``, ``braidorder.words``,
+    ...) of ``checkout``'s ``src/braidorder``, imported as the package
+    ``package``, keyed by their usual names as ``bench/run.py`` wants them."""
+    source = checkout / "src" / "braidorder"
+    spec = importlib.util.spec_from_file_location(
+        package, source / "__init__.py", submodule_search_locations=[str(source)]
+    )
+    root = importlib.util.module_from_spec(spec)
+    sys.modules[package] = root  # the package's relative imports resolve through it
+    spec.loader.exec_module(root)
+    return {
+        name: importlib.import_module(package + name[len("braidorder") :])
+        for name in module_names
+    }
+
+
+def agreement(libs: dict[str, dict], seed: int, count: int = AGREEMENT_WORDS) -> list[str]:
+    """The words on which the sides' ``canonical_form`` (word, sign,
+    iterations) or ``word_to_cutseq`` differ, as text."""
+    rng = random.Random(seed)
+    differ = []
+    for j in range(count):
+        n = 2 + j % 8
+        letters = tuple(
+            rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 16))
+        )
+        seen = []
+        for lib in libs.values():
+            word = lib["braidorder.words"].BraidWord(n, letters)
+            r = lib["braidorder.canonical"].canonical_form(word)
+            s = lib["braidorder.cutseq"].word_to_cutseq(word)
+            seen.append((r.word.letters, r.sign.kind, r.sign.index, r.iterations, s.letters))
+        if seen[0] != seen[1]:
+            differ.append(f"n={n}: {' '.join(map(str, letters))}")
+    return differ
+
+
+def summary(kinds: list[str], best: dict[str, list[float]]) -> tuple[list[tuple], float]:
+    """Per-kind rows ``(kind, ops, parent ms/op, change ms/op, change/parent)``
+    in the order the kinds first occur, and the ops/s ratio change/parent.
+
+    ``best[side][j]`` is the best time in seconds of operation j, whose kind
+    is ``kinds[j]``.  A side's ops/s is the operation count over the sum of
+    its best times, as in ``bench/run.py``."""
+    rows = []
+    for kind in dict.fromkeys(kinds):
+        picked = [j for j, k in enumerate(kinds) if k == kind]
+        ms = [1000 * sum(best[side][j] for j in picked) / len(picked) for side in SIDES]
+        rows.append((kind, len(picked), ms[0], ms[1], ms[1] / ms[0]))
+    return rows, sum(best["parent"]) / sum(best["change"])
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--passes", type=int, default=14, help="timed passes per side")
+    args = parser.parse_args()
+
+    run = load_bench_run()
+    libs = {
+        side: load_library(getattr(args, side), f"braidorder_{side}", run.MODULES)
+        for side in SIDES
+    }
+    differ = agreement(libs, args.seed)
+    print(f"agreement: {AGREEMENT_WORDS - len(differ)} of {AGREEMENT_WORDS} words alike")
+    for text in differ[:10]:
+        print(f"  differs: {text}")
+
+    corpora = {
+        side: run.corpus.build(
+            args.workload,
+            args.seed,
+            run.corpus.Images(lib["braidorder.words"], lib["braidorder.cutseq"]),
+        )
+        for side, lib in libs.items()
+    }
+    ops = corpora["parent"]
+    if corpora["change"] != ops:
+        print("the two sides build different corpora")
+        return 1
+    calls = {side: [run.runner(lib, op) for op in ops] for side, lib in libs.items()}
+    checks = {side: run.Checker(lib) for side, lib in libs.items()}
+    best = {side: [float("inf")] * len(ops) for side in SIDES}
+    wrong = {side: 0 for side in SIDES}
+    for r in range(args.passes + 1):  # round 0 is the untimed warm-up
+        for side in SIDES if r % 2 else SIDES[::-1]:
+            gc.collect()
+            outputs = []
+            for j, call in enumerate(calls[side]):
+                t0 = time.perf_counter()
+                out = call()
+                dt = time.perf_counter() - t0
+                outputs.append(out)
+                if r:
+                    best[side][j] = min(best[side][j], dt)
+            for j, (op, out) in enumerate(zip(ops, outputs)):
+                wrong[side] += not checks[side](j, op, out)
+
+    rows, ratio = summary([op.kind for op in ops], best)
+    print(f"{args.workload} seed {args.seed}: {len(ops)} ops, best of {args.passes} passes a side")
+    print(f"{'kind':<18} {'ops':>5} {'parent ms/op':>13} {'change ms/op':>13} {'ratio':>7}")
+    for kind, count, parent_ms, change_ms, kind_ratio in rows:
+        print(f"{kind:<18} {count:>5} {parent_ms:>13.4f} {change_ms:>13.4f} {kind_ratio:>7.3f}")
+    ops_per_s = {side: len(ops) / sum(best[side]) for side in SIDES}
+    print(
+        f"ops_per_s: parent {ops_per_s['parent']:.1f}, change {ops_per_s['change']:.1f}, "
+        f"change/parent {ratio:.3f}"
+    )
+    for side in SIDES:
+        if wrong[side]:
+            print(f"WRONG ANSWERS on the {side} side: {wrong[side]}")
+    return 1 if differ or any(wrong.values()) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

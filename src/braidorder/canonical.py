@@ -19,9 +19,9 @@ from .cutseq import (
     DOWN,
     UP,
     CuttingSequence,
+    _act_word,
     _positions,
     _reduce_letters,
-    apply_generator,
     initial_hole_run,
     puncture_walk,
     word_to_cutseq,
@@ -64,7 +64,8 @@ def find_useful_subwords(
     to slide there), and so encodes an arc back to the critical stretch.
     """
     hole = _hole_subword(s, i, direction)
-    return ([] if hole is None else [hole]) + _crossing_subwords(s, i, direction)
+    crossings = [_subword(walk, False, p) for p, walk in _crossing_walks(s, i, direction)]
+    return ([] if hole is None else [hole]) + crossings
 
 
 def _hole_subword(s: CuttingSequence, i: int, direction: int) -> UsefulSubword | None:
@@ -75,34 +76,32 @@ def _hole_subword(s: CuttingSequence, i: int, direction: int) -> UsefulSubword |
     if run != i + 1 or run >= len(letters) or letters[run] != direction:
         arrow = "^" if direction == UP else "v"
         raise ValueError(f"sequence does not start _0.._{i} {arrow}")
-    read = _read_arc(s, i, +1, i)
-    if read is None:
-        return None
-    return UsefulSubword(read[0], read[1], hole_anchored=True, anchor=i)
+    walk = puncture_walk(letters, i, +1)
+    return _subword(walk, True, i) if _usable(walk, i, s.n) else None
 
 
-def _crossing_subwords(s: CuttingSequence, i: int, direction: int) -> list[UsefulSubword]:
-    """The usable reads of the crossings of (i, i+1), in sequence order."""
+def _crossing_walks(s: CuttingSequence, i: int, direction: int) -> list[tuple[int, tuple]]:
+    """(position, walk) of every crossing of (i, i+1) whose read toward its
+    ``direction`` arrow is usable, in sequence order."""
     letters = s.letters
     out = []
     for p in _positions(letters, 2 * i + 1):
-        step = 1 if letters[p + 1] == direction else -1
-        read = _read_arc(s, p, step, i)
-        if read is not None:
-            out.append(UsefulSubword(read[0], read[1], hole_anchored=False, anchor=p))
+        walk = puncture_walk(letters, p, 1 if letters[p + 1] == direction else -1)
+        if _usable(walk, i, s.n):
+            out.append((p, walk))
     return out
 
 
-def _read_arc(s, pos, step, i):
-    """Walk from the anchor at ``pos`` until the first puncture; return
-    (values from the puncture back to the anchor, arrows likewise) or None
-    if the walk is unusable."""
-    walk = puncture_walk(s.letters, pos, step)
-    if walk[-1] in (2 * i, 2 * i + 2, 2 * s.n + 2):
-        return None
-    if 2 * i + 1 in walk[2::2]:
-        return None  # meets the critical stretch again
-    return tuple(x >> 1 for x in walk[::-2]), walk[-2::-2]
+def _usable(walk, i: int, n: int) -> bool:
+    """Does the walk from an anchor reach a puncture to slide, without
+    meeting the critical stretch (i, i+1) again on the way?"""
+    return walk[-1] not in (2 * i, 2 * i + 2, 2 * n + 2) and 2 * i + 1 not in walk[2::2]
+
+
+def _subword(walk, hole_anchored: bool, anchor: int) -> UsefulSubword:
+    """The arc of a usable walk: values from the puncture back to the
+    anchor, and the arrows between them likewise."""
+    return UsefulSubword(tuple(x >> 1 for x in walk[::-2]), walk[-2::-2], hole_anchored, anchor)
 
 
 def leftmost_useful_subword(
@@ -112,21 +111,26 @@ def leftmost_useful_subword(
 
     The puncture-anchored arc, if usable, starts at the stretch's left
     endpoint and wins outright, so it is read first and the crossings are
-    read only when it is not usable; then the crossings' real-line order
-    decides.  An empty candidate set contradicts the existence of a useful
-    arc for every nontrivial diagram, so it raises.
+    read only when it is not usable.  Then one usable crossing wins alone,
+    and among two or more the crossings' real-line order decides; only the
+    winner's walk is turned into a :class:`UsefulSubword`.  An empty
+    candidate set contradicts the existence of a useful arc for every
+    nontrivial diagram, so it raises.
     """
     hole = _hole_subword(s, i, direction)
     if hole is not None:
         return hole
-    candidates = _crossing_subwords(s, i, direction)
-    if not candidates:
+    walks = _crossing_walks(s, i, direction)
+    if not walks:
         raise CanonicalError("no useful arc found; the slide argument is violated")
-    by_anchor = {u.anchor: u for u in candidates}
+    if len(walks) == 1:
+        p, walk = walks[0]
+        return _subword(walk, False, p)
+    by_anchor = dict(walks)
     # s comes from the generator action, so it is reduced
     for p in _occurrence_order(s, i):
         if p in by_anchor:
-            return by_anchor[p]
+            return _subword(by_anchor[p], False, p)
     raise CanonicalError("candidate anchors missing from the occurrence order")
 
 
@@ -193,7 +197,9 @@ def canonical_form(w: BraidWord, max_iterations: int | None = None) -> Canonical
 
     Repeatedly slides the leftmost useful arc's puncture until the diagram is
     straight, accumulating the slide words; the inverse of the accumulated
-    word is the canonical form.  Every slide must strictly drop the diagram's
+    word is the canonical form.  Each slide word acts on the diagram as a
+    whole word (``cutseq._act_word``), which checks every generator's
+    result once.  Every slide must strictly drop the diagram's
     complexity, and the iteration cap is a safety valve only: hitting either
     guard is a bug worth reporting, not an expected outcome.
     """
@@ -214,8 +220,7 @@ def canonical_form(w: BraidWord, max_iterations: int | None = None) -> Canonical
         run = before[0]  # the first deviating curve is the hole run's length
         u = leftmost_useful_subword(chi, run - 1, chi.letters[run])
         v = emit_slide_word(u, chi)
-        for k in v.letters:
-            chi = apply_generator(chi, abs(k), 1 if k > 0 else -1)
+        chi = _act_word(chi, v.letters)
         after = complexity(chi)
         if not _less_complex(after, before):
             raise CanonicalError(

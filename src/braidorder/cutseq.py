@@ -7,7 +7,9 @@ real axis gives a word: an underlined number ``_k`` for the puncture k (with
 number ``k`` for a transverse crossing of the open interval (k, k+1), and an
 arrow for every excursion into the upper (``^``) or lower (``v``) half plane.
 The reduced form of this word is a complete invariant of the braid, and the
-generators act on it by local rewriting, which is what this module implements.
+generators act on it by local rewriting, which is what this module implements:
+``word_to_cutseq`` lets a whole word act at once, reducing and checking the
+letters after each generator.
 
 ASCII encoding: tokens ``_k`` (puncture/endpoint), ``k`` (interval crossing),
 ``^`` (upper excursion), ``v`` (lower excursion), separated by spaces.
@@ -32,6 +34,7 @@ UP = -1
 DOWN = -2
 _TOKENS = {"^": UP, "v": DOWN}
 _MAX_DIGITS = len(str(MAX_STRANDS + 1))  # of the largest value, hole n + 1
+_MISSING_LISTED = 8  # holes named in a "missing holes" error
 
 
 class InvalidSequenceError(ValueError):
@@ -90,6 +93,11 @@ def _check_well_formed(n: int, letters) -> None:
         prev = x
     if len(seen) < n + 2:
         missing = [k for k in range(n + 2) if 2 * k not in seen]
+        if len(missing) > _MISSING_LISTED:  # n is up to MAX_STRANDS: keep it short
+            raise InvalidSequenceError(
+                f"missing holes: {len(missing)} of {n + 2}, "
+                f"the first {_MISSING_LISTED}: {missing[:_MISSING_LISTED]}"
+            )
         raise InvalidSequenceError(f"missing holes: {missing}")
     if adjacency is not None:
         raise InvalidSequenceError(adjacency)
@@ -267,7 +275,8 @@ def is_reduced(s: CuttingSequence) -> bool:
 
 def apply_generator(s: CuttingSequence, i: int, sign: int = 1) -> CuttingSequence:
     """The reduced sequence of the braid of ``s`` multiplied by generator
-    ``i`` (``sign`` +1) or its inverse (``sign`` -1).
+    ``i`` (``sign`` +1) or its inverse (``sign`` -1): the word action of
+    one letter.
 
     ``s`` must be reduced, and this is not checked again here: pass a
     sequence made by :func:`trivial_sequence` or by this function, or reduce
@@ -279,12 +288,48 @@ def apply_generator(s: CuttingSequence, i: int, sign: int = 1) -> CuttingSequenc
         raise ValueError(f"generator index {i} out of range 1..{s.n - 1}")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
+    return _act_word(s, (i if sign > 0 else -i,))
 
-    up, down = (UP, DOWN) if sign > 0 else (DOWN, UP)
+
+def _act_word(s: CuttingSequence, word) -> CuttingSequence:
+    """``s`` (reduced) acted on by the signed generators of ``word`` in
+    turn: :func:`apply_generator` letter by letter, with plain letter tuples
+    between the letters and one ``CuttingSequence``, the last result.
+    Every result is reduced and checked once, the last by the constructor,
+    the others by :func:`_check_well_formed`; a failed check is the rewrite
+    table's bug and raises ``RewriteError``."""
+    n = s.n
+    letters = s.letters
+    last = len(word) - 1
+    for j, k in enumerate(word):
+        i = k if k > 0 else -k
+        if not 1 <= i <= n - 1:
+            raise ValueError(f"generator index {i} out of range 1..{n - 1}")
+        out, start = _rewrite(letters, i, k > 0)
+        try:
+            # The check covers the reduced result, which is what is kept; a
+            # malformation that reduction removes (a crossing absorbed into a
+            # neighbouring puncture) leaves a well-formed sequence, whose
+            # value the test suite's independent routes check.
+            if j == last:
+                return CuttingSequence(n, tuple(_reduce_letters(out, start)))
+            letters = tuple(_reduce_letters(out, start))
+            _check_well_formed(n, letters)
+        except InvalidSequenceError as e:
+            # the rewrite table missed a context; never continue silently
+            raise RewriteError(f"generator action broke the sequence: {e}") from e
+    return s
+
+
+def _rewrite(letters: tuple[int, ...], i: int, positive: bool) -> tuple[list[int], int]:
+    """The unreduced letters of the generator ``i`` (its inverse unless
+    ``positive``) acting on the reduced ``letters``, and the position from
+    which the reduction must scan: no window ending before the first
+    changed letter can fire."""
+    up, down = (UP, DOWN) if positive else (DOWN, UP)
     # the holes i and i+1, the crossings of (i-1, i), (i, i+1) and (i+1, i+2)
     low, high = 2 * i, 2 * i + 2
     below, mid, above = 2 * i - 1, 2 * i + 1, 2 * i + 3
-    letters = s.letters
     # only the two holes (once each) and the crossings of (i, i+1) change;
     # the runs between them are copied whole
     spots = sorted([letters.index(low), letters.index(high), *_positions(letters, mid)])
@@ -326,28 +371,16 @@ def apply_generator(s: CuttingSequence, i: int, sign: int = 1) -> CuttingSequenc
         else:
             raise RewriteError(f"crossing of ({i}, {i + 1}) not flanked by opposite arrows")
     out += letters[done:]
-
-    try:
-        # The constructor's check is the one guard per generator.  It checks
-        # the reduced result, which is what is returned; a malformation that
-        # reduction removes (a crossing absorbed into a neighbouring
-        # puncture) leaves a well-formed sequence, whose value the test
-        # suite's independent routes check.  The input is reduced, so no
-        # window ending before the first changed letter can fire.
-        return CuttingSequence(s.n, tuple(_reduce_letters(out, max(0, spots[0] - 2))))
-    except InvalidSequenceError as e:
-        # the rewrite table missed a context; never continue silently
-        raise RewriteError(f"generator action broke the sequence: {e}") from e
+    return out, max(0, spots[0] - 2)
 
 
 def word_to_cutseq(w: BraidWord) -> CuttingSequence:
     """Let the word act letter by letter on the trivial sequence, after
     cancelling the letter pairs :func:`words.free_reduce` finds: the reduced
-    sequence is a braid invariant, so the shorter word gives the same one."""
-    s = trivial_sequence(w.n)
-    for k in free_reduce(w).letters:
-        s = apply_generator(s, abs(k), 1 if k > 0 else -1)
-    return s
+    sequence is a braid invariant, so the shorter word gives the same one.
+    The word acts as a whole (:func:`_act_word`): one check per generator,
+    and one ``CuttingSequence``, the result."""
+    return _act_word(trivial_sequence(w.n), free_reduce(w).letters)
 
 
 def initial_hole_run(s: CuttingSequence) -> int:

@@ -16,7 +16,7 @@ import dataclasses
 import itertools
 from typing import Iterable, Sequence
 
-from .words import BraidWord, crossing_numbers, permutation_image
+from .words import BraidWord, WordError, crossing_numbers, permutation_image
 
 FreeWord = tuple[int, ...]  # signed generator indices, always freely reduced
 
@@ -92,7 +92,7 @@ def braid_equal(a: BraidWord, b: BraidWord) -> bool:
     the words are the same braid exactly when every image agrees (which
     spares acting with the quotient a * b^-1, of length |a| + |b|)."""
     if a.n != b.n:
-        raise ValueError(f"strand count mismatch: {a.n} vs {b.n}")
+        raise WordError(f"strand count mismatch: {a.n} vs {b.n}")
     if _exponent_sum(a.letters) != _exponent_sum(b.letters):
         return False
     tables = {g: _substitution(g) for g in {*a.letters, *b.letters}}

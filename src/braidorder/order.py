@@ -31,6 +31,7 @@ from .cutseq import (
     DOWN,
     UP,
     CuttingSequence,
+    InvalidSequenceError,
     RewriteError,
     _reduce_letters,
     is_reduced,
@@ -189,9 +190,9 @@ def compare_sequences(s: CuttingSequence, t: CuttingSequence) -> Ordering:
     side and is the larger braid.
     """
     if s.n != t.n:
-        raise ValueError(f"strand count mismatch: {s.n} vs {t.n}")
+        raise InvalidSequenceError(f"strand count mismatch: {s.n} vs {t.n}")
     if not is_reduced(s) or not is_reduced(t):
-        raise ValueError("input sequences must be reduced")
+        raise InvalidSequenceError("input sequences must be reduced")
     if s.letters == t.letters:
         return Ordering.EQUAL
     common = 0

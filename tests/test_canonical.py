@@ -5,6 +5,8 @@ the same braid as the input (the free-group action decides that), and any
 two presentations of one braid must canonicalize to the identical word.
 """
 
+import random
+
 import pytest
 
 from braidorder import (
@@ -23,10 +25,17 @@ from braidorder.canonical import (
     leftmost_useful_subword,
 )
 from braidorder import canonical, cutseq, geometry
-from braidorder.cutseq import DOWN, UP, initial_hole_run, is_reduced, trivial_sequence
+from braidorder.cutseq import (
+    DOWN,
+    UP,
+    _check_well_formed,
+    initial_hole_run,
+    is_reduced,
+    trivial_sequence,
+)
 from braidorder.geometry import _occurrence_order, occurrence_order
 from braidorder.order import Ordering
-from braidorder.words import format_word, is_sigma_consistent
+from braidorder.words import format_word, free_reduce, is_sigma_consistent
 from conftest import STRAND_REGIMES, insert_identity, random_word
 
 
@@ -197,3 +206,47 @@ def test_canonical_respects_order_against_identity(rng):
 def test_iteration_cap_raises_cleanly():
     with pytest.raises(CanonicalError):
         canonical_form(parse_word("1 2 -1 -2 1 2", 3), max_iterations=1)
+
+
+def test_canonical_form_checks_each_generator_result_once(monkeypatch, rng):
+    checks = []
+
+    def check(n, letters):
+        checks.append(letters)
+        return _check_well_formed(n, letters)
+
+    monkeypatch.setattr(cutseq, "_check_well_formed", check)
+    slid = 0
+    for _ in range(40):
+        w = random_word(rng, rng.randint(2, 6), max_len=12)
+        checks.clear()
+        r = canonical_form(w)
+        # the trivial sequence, the generators of the shortened word, then
+        # those of every slide word (the canonical word has their letters)
+        assert len(checks) == 1 + len(free_reduce(w)) + len(r.word)
+        slid += len(r.word)
+    assert slid > 100
+
+
+def test_leftmost_useful_subword_matches_the_reference_where_one_arc_is_usable():
+    # the trimmed search skips the crossings' real-line order when only one
+    # crossing arc is usable; many such diagrams have two or more crossings
+    rng = random.Random(40951)
+    diagrams = lone_arcs = 0
+    while diagrams < 2_000:
+        n = rng.randint(2, 9)
+        s = word_to_cutseq(random_word(rng, n, max_len=16, min_len=4))
+        if s.is_trivial():
+            continue
+        diagrams += 1
+        run = initial_hole_run(s)
+        i, direction = run - 1, s.letters[run]
+        u = leftmost_useful_subword(s, i, direction)
+        assert u == reference_leftmost_useful_subword(s, i, direction)
+        candidates = find_useful_subwords(s, i, direction)
+        lone_arcs += (
+            not candidates[0].hole_anchored
+            and len(candidates) == 1
+            and s.letters.count(2 * i + 1) >= 2
+        )
+    assert lone_arcs >= 100

@@ -227,3 +227,10 @@ def test_internal_error_exits_3_with_one_line(monkeypatch, error):
     assert r.exit_code == 3
     assert r.stdout == ""
     assert r.stderr == "internal error (a bug): invariant broken\n"
+
+
+def test_many_missing_holes_exit_1_with_a_short_message():
+    r = run("validate", "_0 _10001")
+    assert r.exit_code == 1
+    assert "missing holes: 10000 of 10002, the first 8: [1, 2, 3, 4, 5, 6, 7, 8]" in r.stderr
+    assert len(r.stderr) < 120

@@ -17,6 +17,7 @@ from braidorder.cutseq import (
     RewriteError,
     _check_well_formed,
     _positions,
+    _reduce_letters,
     apply_generator,
     initial_hole_run,
     is_reduced,
@@ -401,3 +402,64 @@ def test_hole_and_gap_letters_print_distinctly():
     letters = seq_of("1 1", 3).letters
     assert 5 in letters and 1 in letters  # the crossings of (2, 3) and (0, 1)
     assert letters.count(UP) == 2 and letters.count(DOWN) == 2
+
+
+def test_up_to_eight_missing_holes_are_all_listed():
+    with pytest.raises(InvalidSequenceError) as e:
+        CuttingSequence(8, (0, 18))
+    assert str(e.value) == "missing holes: [1, 2, 3, 4, 5, 6, 7, 8]"
+
+
+@pytest.mark.parametrize("n", [9, MAX_STRANDS])
+def test_past_eight_missing_holes_give_the_count_and_the_first_eight(n):
+    with pytest.raises(InvalidSequenceError) as e:
+        CuttingSequence(n, (0, 2 * n + 2))
+    message = str(e.value)
+    assert message == f"missing holes: {n} of {n + 2}, the first 8: [1, 2, 3, 4, 5, 6, 7, 8]"
+    assert len(message) < 120
+
+
+def test_word_action_matches_letter_by_letter_generators():
+    # seeded random walks from the trivial sequence, taken a chunk of
+    # letters at a time; every letter is one step of the comparison
+    rng = random.Random(90211)
+    steps = 0
+    for walk in range(120):
+        n = 2 + walk % 9
+        s = trivial_sequence(n)
+        while steps < 30 * (walk + 1) and len(s.letters) < 300:
+            length = rng.randint(1, 6)
+            word = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length))
+            one_by_one = s
+            for k in word:
+                one_by_one = apply_generator(one_by_one, abs(k), 1 if k > 0 else -1)
+            t = cutseq._act_word(s, word)
+            assert t == one_by_one, (format_sequence(s), word)
+            s = t
+            steps += len(word)
+    assert steps >= 3_000
+
+
+def test_word_action_of_the_empty_word_is_its_input():
+    s = seq_of("1 -2", 3)
+    assert cutseq._act_word(s, ()) is s
+
+
+def test_word_action_range_checks_every_generator():
+    s = trivial_sequence(3)
+    for word in [(3,), (1, -3), (1, 0)]:
+        with pytest.raises(ValueError, match="out of range 1..2"):
+            cutseq._act_word(s, word)
+
+
+def test_malformed_result_under_word_to_cutseq_is_a_rewrite_error(monkeypatch):
+    # a fault in a middle generator's result, not only in the last one's
+    results = iter([None, [0, UP, 0, 6]])
+
+    def broken(letters, start):
+        made = next(results)
+        return _reduce_letters(letters, start) if made is None else made
+
+    monkeypatch.setattr(cutseq, "_reduce_letters", broken)
+    with pytest.raises(RewriteError, match="generator action broke the sequence"):
+        word_to_cutseq(parse_word("1 1 1", 2))

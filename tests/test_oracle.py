@@ -4,7 +4,7 @@ import pytest
 
 from braidorder import BraidWord, braid_equal, oracle, parse_word
 from braidorder.oracle import ArtinAutomorphism, artin_action, enumerate_constrained
-from braidorder.words import permutation_image
+from braidorder.words import WordError, permutation_image
 from conftest import insert_identity, random_word
 
 
@@ -244,3 +244,8 @@ def test_enumerate_guards_search_space():
 def test_enumerate_crossing_constraint():
     words = enumerate_constrained(2, 3, crossings={(1, 2): 3})
     assert [str(w) for w in words] == ["1 1 1"]
+
+
+def test_braid_equal_raises_a_word_error_for_a_strand_mismatch():
+    with pytest.raises(WordError, match="strand count mismatch: 2 vs 3"):
+        braid_equal(parse_word("1", 2), parse_word("1", 3))

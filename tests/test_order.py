@@ -5,6 +5,8 @@ import pytest
 from braidorder import (
     AmbiguityError,
     BraidWord,
+    CuttingSequence,
+    InvalidSequenceError,
     Ordering,
     RewriteError,
     compare,
@@ -14,7 +16,7 @@ from braidorder import (
     word_to_cutseq,
 )
 from braidorder import order
-from braidorder.cutseq import sign_of, trivial_sequence
+from braidorder.cutseq import UP, sign_of, trivial_sequence
 from braidorder.words import WordError
 from conftest import STRAND_REGIMES, identity_chunk, random_word
 
@@ -239,3 +241,16 @@ def test_compare_on_long_scrambled_words(length):
             assert compare(a, b) is want
             assert compare(b, a) is (Ordering.LESS if s > 0 else Ordering.GREATER)
             assert compare(_scramble(rng, b, length), b) is Ordering.EQUAL
+
+
+def test_compare_sequences_raises_a_typed_error_for_a_strand_mismatch():
+    with pytest.raises(InvalidSequenceError, match="strand count mismatch: 2 vs 3"):
+        compare_sequences(trivial_sequence(2), trivial_sequence(3))
+
+
+def test_compare_sequences_raises_a_typed_error_for_an_unreduced_input():
+    # _0 ^ _1 _2 _3 straightens to the trivial sequence
+    unreduced = CuttingSequence(2, (0, UP, 2, 4, 6))
+    for s, t in [(unreduced, trivial_sequence(2)), (trivial_sequence(2), unreduced)]:
+        with pytest.raises(InvalidSequenceError, match="must be reduced"):
+            compare_sequences(s, t)
