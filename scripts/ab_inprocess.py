@@ -14,9 +14,11 @@ before every pass.  As in ``bench/run.py``, an operation's time is its best
 over its side's passes, and every output is checked by ``bench/run.py``'s
 ``Checker`` of its side.
 
-Before the timing, both sides take ``canonical_form`` and
-``word_to_cutseq`` of the same 3,000 seeded random words (n = 2..9, length
-0..16), and every result must be the same on both sides.
+Before the timing, both sides take ``canonical_form``, ``word_to_cutseq``
+and ``sign`` of the same 3,000 seeded random words (n = 2..9, length
+0..16), and ``compare`` and ``braid_equal`` of each word against a seeded
+partner: the word with a trivial chunk inserted, or another random word.
+Every result must be the same on both sides.
 
 It prints, for each operation kind, the milliseconds per operation on each
 side (the mean of the best times) and the change/parent ratio, then the
@@ -66,24 +68,54 @@ def load_library(checkout: Path, package: str, module_names) -> dict:
     }
 
 
+def random_letters(rng: random.Random, n: int) -> tuple[int, ...]:
+    """A uniform random word on n strands, of length 0..16."""
+    return tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 16)))
+
+
+def partner(rng: random.Random, n: int, letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The same braid with k -k or a braid relator inserted at a random
+    spot, or another random word, with equal odds."""
+    if rng.random() < 0.5:
+        return random_letters(rng, n)
+    i = rng.randint(1, n - 1)
+    if n >= 3 and rng.random() < 0.5:
+        i = min(i, n - 2)
+        chunk = (i, i + 1, i, -(i + 1), -i, -(i + 1))
+    else:
+        chunk = (i, -i) if rng.random() < 0.5 else (-i, i)
+    p = rng.randint(0, len(letters))
+    return letters[:p] + chunk + letters[p:]
+
+
 def agreement(libs: dict[str, dict], seed: int, count: int = AGREEMENT_WORDS) -> list[str]:
     """The words on which the sides' ``canonical_form`` (word, sign,
-    iterations) or ``word_to_cutseq`` differ, as text."""
+    iterations), ``word_to_cutseq`` or ``sign`` differ, or its ``compare``
+    or ``braid_equal`` against its partner, as text."""
     rng = random.Random(seed)
     differ = []
     for j in range(count):
         n = 2 + j % 8
-        letters = tuple(
-            rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 16))
-        )
+        letters = random_letters(rng, n)
+        other = partner(rng, n, letters)
         seen = []
         for lib in libs.values():
-            word = lib["braidorder.words"].BraidWord(n, letters)
+            make = lib["braidorder.words"].BraidWord
+            order = lib["braidorder.order"]
+            word, b = make(n, letters), make(n, other)
             r = lib["braidorder.canonical"].canonical_form(word)
             s = lib["braidorder.cutseq"].word_to_cutseq(word)
-            seen.append((r.word.letters, r.sign.kind, r.sign.index, r.iterations, s.letters))
+            t = order.sign(word)
+            seen.append(
+                (
+                    (r.word.letters, r.sign.kind, r.sign.index, r.iterations, s.letters),
+                    (t.kind, t.index),
+                    order.compare(word, b).value,
+                    lib["braidorder"].braid_equal(word, b),
+                )
+            )
         if seen[0] != seen[1]:
-            differ.append(f"n={n}: {' '.join(map(str, letters))}")
+            differ.append(f"n={n}: {' '.join(map(str, letters))} vs {' '.join(map(str, other))}")
     return differ
 
 

@@ -4,10 +4,11 @@ Braid words act on curve diagrams in the punctured disk; the diagram is
 encoded as a cutting sequence along the real axis, and the first deviation
 of the reduced sequence from the straight one reads off the braid's sign.
 That sign gives a total order invariant under right multiplication, plus a
-canonical form for every braid word.  ``sign`` and ``compare`` read the
-sign from the diagram's Dynnikov coordinates, in time quadratic in the
-word length; cutting sequences serve the diagram itself, its validation,
-the comparison of two sequences and the canonical form.
+canonical form for every braid word.  ``sign``, ``compare`` and
+``braid_equal`` read the sign from the diagram's Dynnikov coordinates, in
+time quadratic in the word length; cutting sequences serve the diagram
+itself, its validation, the comparison of two sequences and the canonical
+form.  ``oracle``'s free-group action is the independent referee.
 """
 
 from .canonical import CanonicalError, CanonicalResult, canonical_form
@@ -20,8 +21,7 @@ from .cutseq import (
     word_to_cutseq,
 )
 from .geometry import AmbiguityError, Validation, validate
-from .oracle import braid_equal
-from .order import Ordering, compare, compare_sequences, sign
+from .order import Ordering, braid_equal, compare, compare_sequences, sign
 from .words import BraidWord, SignResult, WordError, parse_word
 
 __all__ = [

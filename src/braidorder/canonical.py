@@ -135,7 +135,13 @@ def leftmost_useful_subword(
 
 
 def emit_slide_word(u: UsefulSubword, s: CuttingSequence) -> BraidWord:
-    """The generator word performing the slide along ``u``.
+    """The generator word performing the slide along ``u``, as a
+    :class:`BraidWord` on ``s``'s strands; see :func:`_slide_letters`."""
+    return BraidWord(s.n, tuple(_slide_letters(u)))
+
+
+def _slide_letters(u: UsefulSubword) -> list[int]:
+    """The letters of the slide along ``u``.
 
     The far puncture c is removed from the line, every crossing value at or
     above c shifts down one, the arc is reduced as a fragment of crossings
@@ -164,7 +170,7 @@ def emit_slide_word(u: UsefulSubword, s: CuttingSequence) -> BraidWord:
             letters.extend(range(a, b, -1))
     if not letters:
         raise CanonicalError("slide word came out empty")
-    return BraidWord(s.n, tuple(letters))
+    return letters
 
 
 def complexity(s: CuttingSequence) -> tuple[int, int]:
@@ -219,14 +225,14 @@ def canonical_form(w: BraidWord, max_iterations: int | None = None) -> Canonical
             raise CanonicalError(f"no convergence after {iterations} slides (a bug)")
         run = before[0]  # the first deviating curve is the hole run's length
         u = leftmost_useful_subword(chi, run - 1, chi.letters[run])
-        v = emit_slide_word(u, chi)
-        chi = _act_word(chi, v.letters)
+        v = _slide_letters(u)
+        chi = _act_word(chi, v)
         after = complexity(chi)
         if not _less_complex(after, before):
             raise CanonicalError(
                 f"slide did not simplify: complexity {before} -> {after} (a bug)"
             )
-        slides.extend(v.letters)
+        slides.extend(v)
         iterations += 1
         before = after
     word = BraidWord(w.n, tuple(-k for k in reversed(slides)))

@@ -15,8 +15,7 @@ from .cutseq import (
     word_to_cutseq,
 )
 from .geometry import AmbiguityError, validate
-from .oracle import braid_equal
-from .order import Ordering, compare, sign
+from .order import Ordering, braid_equal, compare, sign
 from .words import WordError, format_word, parse_letters, parse_word
 
 
@@ -137,10 +136,10 @@ def validate_cmd(sequence, as_json):
 def equal_cmd(left, right, strands, as_json):
     """Whether LEFT and RIGHT are the same braid.
 
-    Different exponent sums (letters counted +1 and -1) answer false at
-    once.  Otherwise the free-group images of x_1, x_2, ... under both
-    words are compared in turn; the first that differs answers false, and
-    true needs every image to agree.
+    Both words act on the Dynnikov coordinates of the identity, LEFT and
+    then RIGHT reversed and inverted; true means the coordinates come back
+    unchanged, that is LEFT and RIGHT have the same coordinates.  This
+    takes time quadratic in the word lengths.
     """
     res = braid_equal(_parse(left, strands, right), _parse(right, strands, left))
     _emit(as_json, {"equal": res}, "true" if res else "false")

@@ -6,8 +6,9 @@ x_{i+1} to x_i, and fixes the rest.  Two words are equal as braids exactly
 when their composed substitutions agree, which reduces equality to freely
 reducing words; :func:`braid_equal` checks the exponent sum first and then
 one image at a time, stopping at the first that differs.  None of the
-cutting-sequence machinery is used here, and words are never shortened, so
-this module can referee it.
+cutting-sequence or coordinate machinery is used here, and words are never
+shortened, so this module can referee it: the public ``braid_equal`` is
+``order.braid_equal``, and this one checks it in the tests.
 """
 
 from __future__ import annotations

@@ -1,21 +1,27 @@
 """The right-invariant total order on braids.
 
-A braid is larger than another when their quotient is positive.  ``sign``
-and ``compare`` read positivity from Dynnikov coordinates (Dynnikov, Russ.
-Math. Surveys 57 (2002); Dehornoy-Dynnikov-Rolfsen-Wiest, *Ordering Braids*,
-AMS 2008, ch. XII; Dehornoy, Discrete Appl. Math. 156 (2008)).  The disk has
-the n strands' punctures plus one dummy puncture at each end, matching the
-endpoints ``_0`` and ``_{n+1}`` of the cutting sequences, so a braid on n
-strands has n pairs (a_j, b_j), j = 1..n, all (0, 1) for the identity.  The
-generator sigma_i (or its inverse) changes the pairs i and i + 1 by one
-max/min-plus update, so a word of length L costs O(n + L^2) bit operations:
-the entries have O(L) bits.  Sign rule: if every pair is (0, 1) the braid is
-trivial; otherwise take the first pair i that is not, and the braid is
-i-positive when a_i > 0 and i-negative when a_i < 0.  An i-positive braid
-is a word in sigma_i..sigma_{n-1}, which leaves the pairs before i alone,
-so the first changed pair names the index.  A changed pair with a_i = 0
-contradicts the rule and raises ``RewriteError`` instead of guessing.
-``compare(a, b)`` is the sign of ``a * b^-1``.
+A braid is larger than another when their quotient is positive.  ``sign``,
+``compare`` and ``braid_equal`` read positivity from Dynnikov coordinates
+(Dynnikov, Russ. Math. Surveys 57 (2002); Dehornoy-Dynnikov-Rolfsen-Wiest,
+*Ordering Braids*, AMS 2008, ch. XII; Dehornoy, Discrete Appl. Math. 156
+(2008)).  The disk has the n strands' punctures plus one dummy puncture at
+each end, matching the endpoints ``_0`` and ``_{n+1}`` of the cutting
+sequences, so a braid on n strands has n pairs (a_j, b_j), j = 1..n, all
+(0, 1) for the identity.  The generator sigma_i (or its inverse) changes the
+pairs i and i + 1 by one max/min-plus update, so a word of length L costs
+O(n + L^2) bit operations: the entries have O(L) bits.  Sign rule: if every
+pair is (0, 1) the braid is trivial; otherwise take the first pair i that is
+not, and the braid is i-positive when a_i > 0 and i-negative when a_i < 0.
+An i-positive braid is a word in sigma_i..sigma_{n-1}, which leaves the
+pairs before i alone, so the first changed pair names the index.  A changed
+pair with a_i = 0 contradicts the rule and raises ``RewriteError`` instead
+of guessing.  One loop, ``_act_letters``, applies a whole word to the pairs.
+``compare(a, b)`` is the sign of ``a * b^-1``, read by letting a's letters
+act and then b's, reversed and negated, without building the quotient word.
+``braid_equal(a, b)`` asks whether that sign is trivial: the coordinates are
+faithful, so equal coordinates mean equal braids, the same fact ``compare``
+relies on for ``EQUAL``.  The free-group action of ``oracle`` stays
+independent of all this and referees it in the tests.
 
 ``compare_sequences`` decides the same order directly from two reduced
 cutting sequences, by comparing how the two diagrams first branch apart.
@@ -26,6 +32,7 @@ referee of the coordinate route.
 from __future__ import annotations
 
 import enum
+from operator import neg
 
 from .cutseq import (
     DOWN,
@@ -47,37 +54,51 @@ class Ordering(enum.Enum):
     GREATER = 1
 
 
-def _act(c: list[int], k: int) -> None:
-    """Let the letter k act in place on c = [a_1, b_1, ..., a_n, b_n].
+def _act_letters(c: list[int], letters) -> None:
+    """Let the letters act in turn, in place, on c = [a_1, b_1, ..., a_n, b_n].
 
     With x+ = max(x, 0) and x- = min(x, 0), sigma_i maps the pairs
     (a1, b1), (a2, b2) at i, i + 1 to (a1 + b1+ + (b2+ - t)+, b2 - t+) and
     (a2 + b2- + (b1- + t)-, b1 + t+), where t = a1 - b1- - a2 + b2+.  Its
-    inverse is sigma_i conjugated by the mirror (a, b) -> (-a, b).
+    inverse is sigma_i conjugated by the mirror (a, b) -> (-a, b): with
+    t = a2 - a1 - b1- + b2+ it maps them to (a1 - b1+ - (b2+ - t)+, b2 - t+)
+    and (a2 - b2- - (b1- + t)-, b1 + t+).  Both updates are written out
+    inline, one branch per letter sign, since a call per letter would cost
+    as much as the update itself.
     """
-    i = 2 * abs(k) - 2
-    s = 1 if k > 0 else -1
-    a1, b1, a2, b2 = c[i : i + 4]
-    a1, a2 = s * a1, s * a2
-    b1p = b1 if b1 > 0 else 0
-    b2p = b2 if b2 > 0 else 0
-    t = a1 - (b1 - b1p) - a2 + b2p
-    tp = t if t > 0 else 0
-    u, v = b2p - t, b1 - b1p + t
-    c[i : i + 4] = (
-        s * (a1 + b1p + (u if u > 0 else 0)),
-        b2 - tp,
-        s * (a2 + b2 - b2p + (v if v < 0 else 0)),
-        b1 + tp,
-    )
-
-
-def _coordinates(w: BraidWord) -> list[int]:
-    """The Dynnikov coordinates of the braid, as [a_1, b_1, ..., a_n, b_n]."""
-    c = [0, 1] * w.n
-    for k in w.letters:
-        _act(c, k)
-    return c
+    for k in letters:
+        if k > 0:
+            i = 2 * k - 2
+            a1 = c[i]
+            b1 = c[i + 1]
+            a2 = c[i + 2]
+            b2 = c[i + 3]
+            b1p = b1 if b1 > 0 else 0
+            b2p = b2 if b2 > 0 else 0
+            t = a1 - b1 + b1p - a2 + b2p
+            tp = t if t > 0 else 0
+            u = b2p - t
+            v = b1 - b1p + t
+            c[i] = a1 + b1p + (u if u > 0 else 0)
+            c[i + 1] = b2 - tp
+            c[i + 2] = a2 + b2 - b2p + (v if v < 0 else 0)
+            c[i + 3] = b1 + tp
+        else:
+            i = -2 * k - 2
+            a1 = c[i]
+            b1 = c[i + 1]
+            a2 = c[i + 2]
+            b2 = c[i + 3]
+            b1p = b1 if b1 > 0 else 0
+            b2p = b2 if b2 > 0 else 0
+            t = a2 - a1 - b1 + b1p + b2p
+            tp = t if t > 0 else 0
+            u = b2p - t
+            v = b1 - b1p + t
+            c[i] = a1 - b1p - (u if u > 0 else 0)
+            c[i + 1] = b2 - tp
+            c[i + 2] = a2 - b2 + b2p - (v if v < 0 else 0)
+            c[i + 3] = b1 + tp
 
 
 def _coordinate_sign(c: list[int]) -> SignResult:
@@ -94,19 +115,38 @@ def _coordinate_sign(c: list[int]) -> SignResult:
 
 def sign(w: BraidWord) -> SignResult:
     """Positivity of the braid: trivial, or i-positive/negative."""
-    return _coordinate_sign(_coordinates(w))
+    c = [0, 1] * w.n
+    _act_letters(c, w.letters)
+    return _coordinate_sign(c)
+
+
+def _quotient_sign(a: BraidWord, b: BraidWord) -> SignResult:
+    """The sign of a * b^-1: a's letters act, then b's reversed and negated,
+    on the identity's coordinates; no quotient word is built."""
+    if a.n != b.n:
+        raise WordError(f"strand count mismatch: {a.n} vs {b.n}")
+    c = [0, 1] * a.n
+    _act_letters(c, a.letters)
+    _act_letters(c, map(neg, reversed(b.letters)))
+    return _coordinate_sign(c)
+
+
+_ORDERINGS = {"positive": Ordering.GREATER, "trivial": Ordering.EQUAL, "negative": Ordering.LESS}
 
 
 def compare(a: BraidWord, b: BraidWord) -> Ordering:
     """Total order via the quotient: a > b iff a * b^-1 is positive."""
-    if a.n != b.n:
-        raise WordError(f"strand count mismatch: {a.n} vs {b.n}")
-    result = _coordinate_sign(_coordinates(a * b.inverse()))
-    if result.kind == "positive":
-        return Ordering.GREATER
-    if result.kind == "negative":
-        return Ordering.LESS
-    return Ordering.EQUAL
+    return _ORDERINGS[_quotient_sign(a, b).kind]
+
+
+def braid_equal(a: BraidWord, b: BraidWord) -> bool:
+    """Do the two words represent the same braid?
+
+    The coordinates of a and of b agree exactly when b^-1 takes a's
+    coordinates back to the identity's, that is when a * b^-1 is trivial;
+    the coordinates are faithful, so that decides equality, with the same
+    refusal of a changed pair with a = 0 as :func:`sign`."""
+    return _quotient_sign(a, b).kind == "trivial"
 
 
 # --- order read directly off two sequences ----------------------------------

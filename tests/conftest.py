@@ -49,6 +49,27 @@ def insert_identity(rng, w):
     return BraidWord(w.n, w.letters[:pos] + chunk + w.letters[pos:])
 
 
+def exponent_sum(w):
+    """Letters counted +1 and -1: the abelianization B_n -> Z."""
+    return sum(1 if k > 0 else -1 for k in w.letters)
+
+
+def same_sum_partner(rng, a):
+    """A word with a's exponent sum: a letter swapped for another of the same
+    sign, a reversed, or a conjugated."""
+    kind = rng.randrange(3)
+    if kind == 0 and a.letters:
+        letters = list(a.letters)
+        p = rng.randrange(len(letters))
+        sign = 1 if letters[p] > 0 else -1
+        letters[p] = sign * rng.randint(1, a.n - 1)
+        return BraidWord(a.n, tuple(letters))
+    if kind == 1:
+        return BraidWord(a.n, a.letters[::-1])
+    c = random_word(rng, a.n, max_len=4, min_len=1)
+    return c * a * c.inverse()
+
+
 def reduce_sequence(s):
     """Apply the reduction rules to a sequence until none applies."""
     return CuttingSequence(s.n, tuple(_reduce_letters(s.letters)))

@@ -144,6 +144,17 @@ def test_equal_json():
     assert json.loads(r.output) == {"equal": True}
 
 
+def test_equal_on_long_words():
+    # the free-group images of such words grow exponentially; the
+    # coordinates answer at once
+    word = " ".join(["1 -2 3 2 -4 1 -3 4"] * 50)
+    padded = word.replace("-3 4", "-3 2 3 2 -3 -2 -3 4", 20)
+    r = run("equal", word, padded)
+    assert (r.exit_code, r.output.strip()) == (0, "true")
+    r = run("equal", "1 " + word, word)
+    assert (r.exit_code, r.output.strip()) == (0, "false")
+
+
 def test_words_starting_with_minus_are_not_options():
     r = run("equal", "-2 -3 1 -2 1 3 2", "1 2 -3 2 -1")
     assert r.exit_code == 0

@@ -9,16 +9,24 @@ from braidorder import (
     InvalidSequenceError,
     Ordering,
     RewriteError,
+    braid_equal,
     compare,
     compare_sequences,
     parse_word,
     sign,
     word_to_cutseq,
 )
-from braidorder import order
+from braidorder import oracle, order
 from braidorder.cutseq import UP, sign_of, trivial_sequence
 from braidorder.words import WordError
-from conftest import STRAND_REGIMES, identity_chunk, random_word
+from conftest import (
+    STRAND_REGIMES,
+    exponent_sum,
+    identity_chunk,
+    insert_identity,
+    random_word,
+    same_sum_partner,
+)
 
 
 def w(text, n=3):
@@ -145,6 +153,55 @@ def test_ambiguity_error_not_raised_on_word_images(rng):
 # --- the Dynnikov coordinate route against its referees ---------------------
 
 
+def reference_act(c, k):
+    """Let the letter k act in place on c = [a_1, b_1, ..., a_n, b_n], one
+    call per letter, with the inverse as the mirror conjugate of sigma_i.
+
+    With x+ = max(x, 0) and x- = min(x, 0), sigma_i maps the pairs
+    (a1, b1), (a2, b2) at i, i + 1 to (a1 + b1+ + (b2+ - t)+, b2 - t+) and
+    (a2 + b2- + (b1- + t)-, b1 + t+), where t = a1 - b1- - a2 + b2+.  Its
+    inverse is sigma_i conjugated by the mirror (a, b) -> (-a, b).
+    """
+    i = 2 * abs(k) - 2
+    s = 1 if k > 0 else -1
+    a1, b1, a2, b2 = c[i : i + 4]
+    a1, a2 = s * a1, s * a2
+    b1p = b1 if b1 > 0 else 0
+    b2p = b2 if b2 > 0 else 0
+    t = a1 - (b1 - b1p) - a2 + b2p
+    tp = t if t > 0 else 0
+    u, v = b2p - t, b1 - b1p + t
+    c[i : i + 4] = (
+        s * (a1 + b1p + (u if u > 0 else 0)),
+        b2 - tp,
+        s * (a2 + b2 - b2p + (v if v < 0 else 0)),
+        b1 + tp,
+    )
+
+
+def test_kernel_matches_the_per_letter_reference():
+    rng = random.Random(61283)
+    for j in range(20_000):
+        word = random_word(rng, 2 + j % 9, max_len=40)
+        want = [0, 1] * word.n
+        for k in word.letters:
+            reference_act(want, k)
+        got = [0, 1] * word.n
+        order._act_letters(got, word.letters)
+        assert got == want, word
+
+
+def test_kernel_matches_the_reference_from_random_start_vectors(rng):
+    for _ in range(2000):
+        word = random_word(rng, rng.randint(2, 10), max_len=20)
+        want = [rng.randint(-60, 60) for _ in range(2 * word.n)]
+        got = list(want)
+        for k in word.letters:
+            reference_act(want, k)
+        order._act_letters(got, iter(word.letters))
+        assert got == want, word
+
+
 def test_generator_maps_are_mutual_inverses(rng):
     for _ in range(2000):
         n = rng.randint(2, 10)
@@ -152,9 +209,13 @@ def test_generator_maps_are_mutual_inverses(rng):
         k = rng.randint(1, n - 1)
         for first in (k, -k):
             d = list(c)
-            order._act(d, first)
-            order._act(d, -first)
+            order._act_letters(d, (first, -first))
             assert d == c, (c, first)
+        word = random_word(rng, n, max_len=20)
+        d = list(c)
+        order._act_letters(d, word.letters)
+        order._act_letters(d, word.inverse().letters)
+        assert d == c, (c, word)
 
 
 def test_sign_matches_the_cutting_sequence_sign(rng):
@@ -167,11 +228,16 @@ def test_sign_matches_the_cutting_sequence_sign(rng):
 def test_changed_pair_with_zero_a_raises_rewrite_error(monkeypatch):
     # the second pair differs from (0, 1) with a = 0: the sign rule says
     # nothing, so the route must refuse instead of guessing
-    monkeypatch.setattr(order, "_coordinates", lambda word: [0, 1, 0, 3, 1, 1])
+    def broken(c, letters):
+        c[:] = [0, 1, 0, 3, 1, 1]
+
+    monkeypatch.setattr(order, "_act_letters", broken)
     with pytest.raises(RewriteError, match="pair 2"):
         sign(w("1"))
     with pytest.raises(RewriteError, match="pair 2"):
         compare(w("1"), w(""))
+    with pytest.raises(RewriteError, match="pair 2"):
+        braid_equal(w("1"), w(""))
 
 
 def _consistent_word(rng, n, i, s, length):
@@ -254,3 +320,54 @@ def test_compare_sequences_raises_a_typed_error_for_an_unreduced_input():
     for s, t in [(unreduced, trivial_sequence(2)), (trivial_sequence(2), unreduced)]:
         with pytest.raises(InvalidSequenceError, match="must be reduced"):
             compare_sequences(s, t)
+
+
+# --- braid_equal on the coordinates against the free-group oracle -----------
+
+
+def test_braid_equal_matches_the_oracle():
+    rng = random.Random(55021)
+    same_sum_unequal = inserted = 0
+    for j in range(5000):
+        a = random_word(rng, 2 + j % 9, max_len=12)
+        if j % 4 == 3:
+            b = a
+            for _ in range(rng.randint(1, 3)):
+                b = insert_identity(rng, b)
+            inserted += 1
+        elif j % 4 == 2:
+            b = random_word(rng, a.n, max_len=12)
+        else:
+            b = same_sum_partner(rng, a)
+        result = braid_equal(a, b)
+        assert result is oracle.braid_equal(a, b), (str(a), str(b))
+        same_sum_unequal += not result and exponent_sum(a) == exponent_sum(b)
+    assert same_sum_unequal >= 1000 and inserted >= 1000
+
+
+def test_braid_equal_examples():
+    assert braid_equal(w("1 2 -3 2 -1", 4), w("-2 -3 1 -2 1 3 2", 4))
+    assert braid_equal(w("1 2 1"), w("2 1 2"))
+    assert braid_equal(w(""), w("2 -2"))
+    assert not braid_equal(w("1"), w("2"))
+    assert not braid_equal(w("1 2"), w("2 1"))
+
+
+def test_braid_equal_raises_a_word_error_for_a_strand_mismatch():
+    with pytest.raises(WordError, match="strand count mismatch: 2 vs 3"):
+        braid_equal(w("1", 2), w("1", 3))
+
+
+@pytest.mark.parametrize("length", LONG_LENGTHS)
+def test_braid_equal_on_long_words(length):
+    """A word against a respelling with relators inserted is equal; c * b
+    against b, with c sigma-consistent and so nontrivial, is not."""
+    rng = random.Random(length + 2)
+    for n in range(3, 11):
+        for _ in range(6):
+            b = random_word(rng, n, min_len=length // 2, max_len=length // 2)
+            assert braid_equal(_scramble(rng, b, length), b)
+            assert braid_equal(b, _scramble(rng, b, length))
+            c = _consistent_word(rng, n, rng.randint(1, n - 1), rng.choice((1, -1)), length // 4)
+            assert not braid_equal(c * b, b)
+            assert not braid_equal(b, c * b)
