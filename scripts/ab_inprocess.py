@@ -18,7 +18,11 @@ Before the timing, both sides take ``canonical_form``, ``word_to_cutseq``
 and ``sign`` of the same 3,000 seeded random words (n = 2..9, length
 0..16), and ``compare`` and ``braid_equal`` of each word against a seeded
 partner: the word with a trivial chunk inserted, or another random word.
-Every result must be the same on both sides.
+Both sides also take ``validate`` (verdict and reason) and the
+``occurrence_order`` of every interval of each word's sequence and of a
+perturbed copy, with one to three arrows flipped or crossing values
+changed, so that rejections are exercised too.  Every result must be the
+same on both sides.
 
 It prints, for each operation kind, the milliseconds per operation on each
 side (the mean of the best times) and the change/parent ratio, then the
@@ -88,23 +92,56 @@ def partner(rng: random.Random, n: int, letters: tuple[int, ...]) -> tuple[int, 
     return letters[:p] + chunk + letters[p:]
 
 
-def agreement(libs: dict[str, dict], seed: int, count: int = AGREEMENT_WORDS) -> list[str]:
+def perturbed(rng: random.Random, n: int, letters: tuple[int, ...]) -> tuple[int, ...]:
+    """``letters`` of a sequence with one to three arrows flipped (^ is -1,
+    v is -2) or crossing values (odd) changed; still well formed."""
+    out = list(letters)
+    for _ in range(rng.randint(1, 3)):
+        q = rng.randrange(len(out))
+        if out[q] < 0:
+            out[q] = -3 - out[q]
+        elif out[q] & 1:
+            out[q] = 2 * rng.randint(0, n) + 1
+    return tuple(out)
+
+
+def geometry_outcome(lib: dict, s) -> tuple:
+    """``validate``'s verdict and reason and every interval's
+    ``occurrence_order`` (or its error) of the sequence ``s``."""
+    geometry = lib["braidorder.geometry"]
+    v = geometry.validate(s)
+    orders = []
+    for k in range(s.n + 1):
+        try:
+            orders.append(geometry.occurrence_order(s, k))
+        except ValueError as e:  # not reduced, or no consistent realization
+            orders.append((type(e).__name__, str(e)))
+    return v.ok, v.reason, tuple(orders)
+
+
+def agreement(libs: dict[str, dict], seed: int, count: int = AGREEMENT_WORDS):
     """The words on which the sides' ``canonical_form`` (word, sign,
     iterations), ``word_to_cutseq`` or ``sign`` differ, or its ``compare``
-    or ``braid_equal`` against its partner, as text."""
+    or ``braid_equal`` against its partner, as text; then the sequences,
+    each word's and its perturbed copy, on which :func:`geometry_outcome`
+    differs, as text; then how many sequences were checked and how many
+    ``validate`` rejected."""
     rng = random.Random(seed)
-    differ = []
+    differ, differ_sequences = [], []
+    checked = rejected = 0
     for j in range(count):
         n = 2 + j % 8
         letters = random_letters(rng, n)
         other = partner(rng, n, letters)
         seen = []
+        checks = []
         for lib in libs.values():
             make = lib["braidorder.words"].BraidWord
+            cutseq = lib["braidorder.cutseq"]
             order = lib["braidorder.order"]
             word, b = make(n, letters), make(n, other)
             r = lib["braidorder.canonical"].canonical_form(word)
-            s = lib["braidorder.cutseq"].word_to_cutseq(word)
+            s = cutseq.word_to_cutseq(word)
             t = order.sign(word)
             seen.append(
                 (
@@ -114,9 +151,17 @@ def agreement(libs: dict[str, dict], seed: int, count: int = AGREEMENT_WORDS) ->
                     lib["braidorder"].braid_equal(word, b),
                 )
             )
+            # the same perturbation on both sides: its own seeded stream
+            copy = cutseq.CuttingSequence(n, perturbed(random.Random(f"{seed}:{j}"), n, s.letters))
+            checks.append([(x, geometry_outcome(lib, x)) for x in (s, copy)])
         if seen[0] != seen[1]:
             differ.append(f"n={n}: {' '.join(map(str, letters))} vs {' '.join(map(str, other))}")
-    return differ
+        for (s, mine), (_, theirs) in zip(*checks):
+            checked += 1
+            rejected += not mine[0]
+            if mine != theirs:
+                differ_sequences.append(f"n={n}: {s}")
+    return differ, differ_sequences, checked, rejected
 
 
 def summary(kinds: list[str], best: dict[str, list[float]]) -> tuple[list[tuple], float]:
@@ -148,9 +193,15 @@ def main() -> int:
         side: load_library(getattr(args, side), f"braidorder_{side}", run.MODULES)
         for side in SIDES
     }
-    differ = agreement(libs, args.seed)
+    differ, differ_sequences, checked, rejected = agreement(libs, args.seed)
     print(f"agreement: {AGREEMENT_WORDS - len(differ)} of {AGREEMENT_WORDS} words alike")
     for text in differ[:10]:
+        print(f"  differs: {text}")
+    print(
+        f"validate and occurrence_order: {checked - len(differ_sequences)} of {checked} "
+        f"sequences alike, {rejected} of them rejected"
+    )
+    for text in differ_sequences[:10]:
         print(f"  differs: {text}")
 
     corpora = {
@@ -196,7 +247,7 @@ def main() -> int:
     for side in SIDES:
         if wrong[side]:
             print(f"WRONG ANSWERS on the {side} side: {wrong[side]}")
-    return 1 if differ or any(wrong.values()) else 0
+    return 1 if differ or differ_sequences or any(wrong.values()) else 0
 
 
 if __name__ == "__main__":

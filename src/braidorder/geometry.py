@@ -13,107 +13,119 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import itertools
+import struct
 
 from .cutseq import DOWN, UP, CuttingSequence, _positions, is_reduced
+
+# A walk key is packed as big-endian unsigned 2-byte entries, so keys compare
+# as bytes (memcmp) exactly as the entry lists would, prefixes included.  An
+# entry lies in 1..mod-1 with mod = 2(n+1), and n <= words.MAX_STRANDS =
+# 10,000 gives mod <= 20,002 < 2**16; a larger MAX_STRANDS needs a wider
+# format here.  Complementing every byte turns each entry e into 65535 - e,
+# which reverses the order of keys without a prefix relation between them.
+_ENTRY = ">%dH"
+_COMPLEMENT = bytes(range(255, -1, -1))
 
 
 class AmbiguityError(ValueError):
     """The comparison walks cannot decide: no disjoint realization exists."""
 
 
-def _walk_tables(s: CuttingSequence) -> tuple[list[int], list[int], list[int]]:
+def _walk_keys(letters, mod: int) -> tuple[list[int], list[int], tuple[bytes, ...]]:
     """Everything the comparison walks read, in one pass over the letters.
 
-    Returns ``(right, left, holes)``: for the arrow at q, the turning entry
-    ``right[q]`` of a walk passing it rightwards from x to y (y - x through
-    an upper arrow, x - y through a lower one, modulo mod = 2(n+1)) and
-    ``left[q] = mod - right[q]`` of one passing it leftwards; and the
-    positions of the holes, in order.
+    Returns ``(holes, offsets, keys)``: the positions of the holes, in
+    order; for each hole, the byte offset in ``keys`` of the arrows after
+    it; and four packed arrays of one entry per arrow.  The arrow between x
+    and y has the turning entry ``e`` of a walk passing it rightwards
+    (y - x through an upper arrow, x - y through a lower one, modulo
+    mod = 2(n+1)) and ``mod - e`` of one passing it leftwards.  ``keys``
+    holds the rightward entries in sequence order, the leftward ones in
+    reverse order, and both again complemented.
 
     A walk from a crossing runs through a hole-free stretch to the nearest
-    hole, so its key is a slice of ``right`` or ``left`` between the crossing
-    and that hole.  Entries a walk reads are never 0 on a reduced sequence:
-    a crossing and a hole differ by an odd doubled amount, and two crossings
-    through one arrow would have to be equal, which the merge rule removes.
+    hole, so its key is a contiguous slice of one of the four arrays.
+    Entries a walk reads are never 0 on a reduced sequence: a crossing and
+    a hole differ by an odd doubled amount, and two crossings through one
+    arrow would have to be equal, which the merge rule removes.
     """
-    letters = s.letters
-    mod = 2 * (s.n + 1)
-    holes = []
-    right = [0] * len(letters)
+    holes, offsets, right = [], [], []
     for q, x in enumerate(letters):
-        if x == UP:
-            right[q] = (letters[q + 1] - letters[q - 1]) % mod
-        elif x == DOWN:
-            right[q] = (letters[q - 1] - letters[q + 1]) % mod
+        if x < 0:
+            e = letters[q + 1] - letters[q - 1]
+            right.append(e % mod if x == UP else -e % mod)
         elif not x & 1:
             holes.append(q)
-    left = [mod - e for e in right]
-    return right, left, holes
+            offsets.append(2 * len(right))
+    fmt = _ENTRY % len(right)
+    forward = struct.pack(fmt, *right)
+    backward = struct.pack(fmt, *[mod - e for e in reversed(right)])
+    keys = (forward, backward, forward.translate(_COMPLEMENT), backward.translate(_COMPLEMENT))
+    return holes, offsets, keys
 
 
-def _crossings(letters, holes: list[int]) -> dict[int, list[tuple[int, int, int]]]:
-    """``(position, hole to the left, hole to the right)`` of every crossing,
-    grouped by interval.  Between two consecutive holes the letters alternate
-    arrow, crossing, ..., arrow, so the crossings sit at every second place."""
-    spots: dict[int, list[tuple[int, int, int]]] = {}
-    for lo, hi in zip(holes, holes[1:]):
-        for p in range(lo + 2, hi, 2):
-            spots.setdefault(letters[p] >> 1, []).append((p, lo, hi))
-    return spots
+def _entries(letters, holes, offsets, keys, stretches) -> list[tuple[int, bytes, bytes, int]]:
+    """``(value, upper, lower, position)`` of each crossing in ``stretches``,
+    pairs ``(i, positions)`` of crossings between hole i and hole i + 1.
+
+    ``upper`` is the upper walk's key complemented, ``lower`` the lower
+    walk's key.  The upper walk leaves on the side of the ^.
+    """
+    forward, backward, flipped_forward, flipped_backward = keys
+    size = len(forward)
+    out = []
+    for i, positions in stretches:
+        lo, hi = holes[i], holes[i + 1]
+        # the arrow at q sits at byte f + q - 1 of a forward array and at
+        # byte r - q - 1 of a backward one
+        f = offsets[i] - lo
+        r = size - offsets[i] + lo
+        for p in positions:
+            if letters[p + 1] == UP:
+                upper, lower = flipped_forward[f + p : f + hi], backward[r - p : r - lo]
+            else:
+                upper, lower = flipped_backward[r - p : r - lo], forward[f + p : f + hi]
+            out.append((letters[p], upper, lower, p))
+    return out
 
 
-def _interval_order(
-    s: CuttingSequence,
-    right: list[int],
-    left: list[int],
-    spots: list[tuple[int, int, int]],
-    k: int,
-) -> tuple[int, ...]:
-    """The positions in ``spots`` (crossings of interval k), leftmost first."""
-    if len(spots) < 2:
-        return tuple(p for p, _, _ in spots)
-    entries = []
-    for p, lo, hi in spots:
-        # the upper walk leaves on the side of the ^; its key is stored with
-        # each entry e as mod - e, which is the other reading's slice
-        if s.letters[p + 1] == UP:
-            entries.append((left[p + 1 : hi : 2], left[p - 1 : lo : -2], p))
-        else:
-            entries.append((right[p - 1 : lo : -2], right[p + 1 : hi : 2], p))
-    return _sort_crossings(entries, k)
+def _sort_crossings(entries: list[tuple[int, bytes, bytes, int]]) -> list[int]:
+    """Positions of the entries' points in real-line order, from their keys.
 
-
-def _sort_crossings(entries: list[tuple[list[int], list[int], int]], k: int) -> tuple[int, ...]:
-    """Positions of crossings of interval k, leftmost first, from their keys.
-
-    Each entry is ``(upper, lower, position)`` with ``upper`` the upper walk's
-    key after every entry e is replaced by mod - e, so that sorting
-    ascending by ``(upper, lower)`` puts the larger upper key first and, on
-    upper ties, the smaller lower key first: the pairwise rule of
-    :func:`occurrence_order`.
+    Each entry is ``(value, upper, lower, position)`` as :func:`_entries`
+    makes them, with the upper key complemented; a hole may come as
+    ``(value, b"", b"", position)``.  Sorting ascending by ``(value, upper,
+    lower)`` puts the crossings of one interval together and, within it,
+    the larger upper walk key first and, on upper ties, the smaller lower
+    key first: the pairwise rule of :func:`occurrence_order`.
 
     The rule is defined for a pair unless one upper key is a proper prefix
     of the other, or the upper keys are equal and one lower key is a prefix
     of (or equal to) the other; such a pair raises :class:`AmbiguityError`.
-    Checking the pairs adjacent after the sort is as strong as checking all
-    of them: in lexicographic order the keys that start with a given key
-    form one contiguous block, so if key i is a prefix of key j, every key
-    sorted between them starts with key i too, and the last of those equal
-    to key i is followed by one that properly extends it.  The same holds
-    for the lower keys among entries with one upper key.
+    Checking the same-value pairs adjacent after the sort is as strong as
+    checking all of them: in lexicographic order the keys that start with a
+    given key form one contiguous block, so if key i is a prefix of key j,
+    every key sorted between them starts with key i too, and the last of
+    those equal to key i is followed by one that properly extends it.  The
+    same holds for the lower keys among entries with one upper key.  The
+    first failing pair in real-line order is reported.
     """
     entries.sort()  # positions break only ties, which raise below
-    for (u, d, p), (u2, d2, q) in zip(entries, entries[1:]):
+    for (v, u, d, p), (v2, u2, d2, q) in zip(entries, entries[1:]):
+        if v != v2:
+            continue
         if u != u2:
-            if u2[: len(u)] == u:
+            if u2.startswith(u):
                 raise AmbiguityError("one comparison key is a proper prefix of the other")
         elif d == d2:
+            k = v >> 1
             raise AmbiguityError(
                 f"crossings of ({k}, {k + 1}) at positions {p} and {q} have identical walks"
             )
-        elif d2[: len(d)] == d:
+        elif d2.startswith(d):
             raise AmbiguityError("one comparison key is a proper prefix of the other")
-    return tuple(p for _, _, p in entries)
+    return [e[3] for e in entries]
 
 
 def occurrence_order(s: CuttingSequence, k: int) -> tuple[int, ...]:
@@ -125,13 +137,16 @@ def occurrence_order(s: CuttingSequence, k: int) -> tuple[int, ...]:
     curves through the same points, so that raises, and so does a key that
     is a proper prefix of the other, which no embedded diagram produces.
 
-    One pass over the L letters gives every arrow's turning entry in both
-    reading directions (:func:`_walk_tables`); each walk's key is then a
-    slice of one of those two lists.  The m crossings are sorted once by
-    their keys and only adjacent pairs are checked, which is as strong as
-    checking all pairs (see :func:`_sort_crossings`): O(L) for the pass and
-    O(m log m) key comparisons, plus slicing each key, which costs its
-    length, the number of arrows between its crossing and the nearest hole.
+    One pass over the L letters packs every arrow's turning entry, two bytes
+    each, for both reading directions, plain and complemented
+    (:func:`_walk_keys`); each walk's key is then a contiguous byte slice of
+    one of those arrays.
+    The m crossings are sorted once by their keys, compared as bytes, and
+    only adjacent pairs are checked, which is as strong as checking all
+    pairs (see :func:`_sort_crossings`): O(L) for the pass and O(m log m)
+    key comparisons, plus slicing each key, which costs its length in
+    bytes: twice the number of arrows between its crossing and the nearest
+    hole.
     """
     if not is_reduced(s):
         raise ValueError("input sequence must be reduced")
@@ -144,17 +159,16 @@ def _occurrence_order(s: CuttingSequence, k: int) -> tuple[int, ...]:
 
     Only interval k is read: its crossings are found by ``tuple.index``,
     and each one's bracketing holes by bisecting the hole positions.  With
-    fewer than two crossings there is nothing to order and no walk table
+    fewer than two crossings there is nothing to order and no key array
     is built."""
-    positions = _positions(s.letters, 2 * k + 1) if k >= 0 else []
+    letters = s.letters
+    positions = _positions(letters, 2 * k + 1) if k >= 0 else []
     if len(positions) < 2:
         return tuple(positions)
-    right, left, holes = _walk_tables(s)
-    spots = []
-    for p in positions:
-        j = bisect.bisect(holes, p)  # a crossing is never first or last
-        spots.append((p, holes[j - 1], holes[j]))
-    return _interval_order(s, right, left, spots, k)
+    holes, offsets, keys = _walk_keys(letters, 2 * (s.n + 1))
+    # a crossing is never first or last, so hole i is to its left
+    stretches = itertools.groupby(positions, key=lambda p: bisect.bisect(holes, p) - 1)
+    return tuple(_sort_crossings(_entries(letters, holes, offsets, keys, stretches)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -166,23 +180,77 @@ class Validation:
         return self.ok
 
 
-def _crossing_arcs(arcs: list[tuple[int, int]]) -> tuple[tuple[int, int], tuple[int, int]] | None:
-    """Two arcs ``(a, b)``, ``(c, d)`` with a < c < b < d, or None.
+def _crossing_arcs(letters, order: list[int], side: int):
+    """Two crossing arcs of ``side`` (``UP`` or ``DOWN``) as
+    ``((a, b), (c, d))`` with a < c < b < d, or None.
 
-    Sweeps the arcs by left end (ties: longer first) with a stack of the open
-    arcs, which are nested.  Arcs ending at or before the next left end
-    close; the next arc then crosses some open arc exactly when it crosses
-    the innermost one, i.e. when that one ends strictly inside it.
+    ``letters`` ends in an extra non-arrow, and ``order`` lists the
+    positions of its numbers in real-line order.  One walk along the real
+    line keeps the open arcs on a stack, each by its arrow's position: an
+    arc is pushed at its left end and popped at its right end when it is on
+    top.  An arc's right end is the end with the larger value; on a reduced
+    sequence its two ends never share one.  The arcs are nested or disjoint
+    exactly when each closing arc is the innermost open one.  At a hole with
+    two arcs on this side, closing arcs go first, inner first, then opening
+    arcs, outer first.  See :func:`_first_crossing` for the pair reported.
     """
-    arcs.sort(key=lambda ab: (ab[0], -ab[1]))
-    stack: list[tuple[int, int]] = []
-    for c, d in arcs:
-        while stack and stack[-1][1] <= c:
+    stack = [None]  # the open arcs, innermost last
+    index = None  # position -> real-line index, built when first needed
+    for p in order:
+        if letters[p + 1] == side:
+            q = p + 1
+            if letters[p - 1] == side:  # a hole with two arcs on this side
+                if stack[-1] == q or stack[-1] == p - 1:  # the inner closing one
+                    q = 2 * p - stack.pop()
+                else:
+                    v, a, b = letters[p], letters[p - 2], letters[p + 2]
+                    if a < v or b < v:  # a closing arc that is not on top
+                        return _first_crossing(letters, order, stack[1:])
+                    if a == b:  # crossings of one interval: their ranks decide
+                        if index is None:
+                            index = dict(zip(order, itertools.count()))
+                        a, b = index[p - 2], index[p + 2]
+                    stack.append(p - 1 if a > b else q)  # the outer one
+                    q = 2 * p - stack[-1]
+        elif letters[p - 1] == side:
+            q = p - 1
+        else:
+            continue
+        if stack[-1] == q:
             stack.pop()
-        if stack and stack[-1][1] < d:
-            return stack[-1], (c, d)
-        stack.append((c, d))
+        elif letters[2 * q - p] > letters[p]:
+            stack.append(q)
+        else:
+            return _first_crossing(letters, order, stack[1:])
     return None
+
+
+def _first_crossing(letters, order: list[int], stack: list[int]):
+    """The crossing pair of :func:`_crossing_arcs` from its stack of open
+    arcs, bottom first, when an arc closes below the top.
+
+    Each arc was pushed while the one below it was the innermost open arc.
+    The lowest arc Y that ends further right than the arc X below it is the
+    first arc, by left end and then outer first, to cross the innermost arc
+    open at its left end; ``(X, Y)`` is reported, each end as its
+    coordinate (doubled value, rank among the points of that value on the
+    real line).
+    """
+    index = dict(zip(order, itertools.count()))
+
+    def ends(q: int) -> list[int]:
+        return sorted((q - 1, q + 1), key=index.__getitem__)
+
+    def coordinate(p: int) -> tuple[int, int]:
+        v = letters[p]
+        # a crossing's rank counts from the hole just left of its interval
+        return (v, index[p] - index[letters.index(v - 1)] - 1) if v & 1 else (v, 0)
+
+    for x, y in zip(stack, stack[1:]):
+        (a, b), (c, d) = ends(x), ends(y)
+        if index[b] < index[d]:
+            return (coordinate(a), coordinate(b)), (coordinate(c), coordinate(d))
+    raise RuntimeError("an arc closed below the top without a crossing pair")
 
 
 def validate(s: CuttingSequence) -> Validation:
@@ -195,45 +263,43 @@ def validate(s: CuttingSequence) -> Validation:
     :func:`occurrence_order`.  Only reduced sequences denote diagrams
     canonically.
 
-    Reducedness is checked once.  One pass then gives every walk key (as in
-    :func:`occurrence_order`), each interval's crossings are sorted once with
-    only adjacent pairs checked, and each side's arcs are checked by one
-    sweep with a stack (:func:`_crossing_arcs`): O(L log L) comparisons and
-    steps for L letters, plus slicing the keys, linear in their total length.
+    Reducedness is checked once.  One pass then packs every walk key (as in
+    :func:`occurrence_order`), every crossing is sorted once together with
+    the holes, which gives each interval's order and the whole real line's
+    at once, with only adjacent pairs checked, and each side's arcs are
+    checked by one walk along the real line with a stack
+    (:func:`_crossing_arcs`): O(L log L) comparisons and O(L) steps for L
+    letters, plus slicing the keys, linear in their total length in bytes.
     """
     if not is_reduced(s):
         return Validation(False, "sequence is not reduced")
     letters = s.letters
-    right, left, holes = _walk_tables(s)
-    spots = _crossings(letters, holes)
+    holes, offsets, keys = _walk_keys(letters, 2 * (s.n + 1))
+    crossed = None
     for p, q in zip(holes, holes[1:]):
         if q == p + 1:
             a, b = letters[p] >> 1, letters[q] >> 1
             i = min(a, b)
-            if i in spots:
+            if crossed is None:
+                crossed = set(letters)
+            if 2 * i + 1 in crossed:
                 return Validation(
                     False,
                     f"punctures {a} and {b} are joined directly "
                     f"but the interval ({i}, {i + 1}) is crossed",
                 )
-    # coordinate (doubled value, rank) packed as doubled * stride + rank
-    stride = len(letters)
-    coord = [v * stride for v in letters]
+    stretches = ((i, range(p + 2, q, 2)) for i, (p, q) in enumerate(zip(holes, holes[1:])))
+    points = _entries(letters, holes, offsets, keys, stretches)
+    points += [(letters[h], b"", b"", h) for h in holes]
     try:
-        for k, group in spots.items():
-            for rank, p in enumerate(_interval_order(s, right, left, group, k)):
-                coord[p] += rank
+        order = _sort_crossings(points)
     except AmbiguityError as e:
         return Validation(False, f"no consistent realization: {e}")
-    arcs: dict[int, list[tuple[int, int]]] = {UP: [], DOWN: []}
-    for q, x in enumerate(letters):
-        if x < 0:
-            a, b = coord[q - 1], coord[q + 1]
-            arcs[x].append((a, b) if a < b else (b, a))
-    for side, side_arcs in arcs.items():
-        pair = _crossing_arcs(side_arcs)
+    padded = letters + (0,)  # so the last point has a letter after it
+    for side in (UP, DOWN):
+        pair = _crossing_arcs(padded, order, side)
         if pair is not None:
-            (a, b), (c, d) = [[divmod(x, stride) for x in arc] for arc in pair]
+            (a, b), (c, d) = pair
             return Validation(
                 False,
                 f"two {'upper' if side == UP else 'lower'} arcs cross: "

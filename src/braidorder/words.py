@@ -32,8 +32,13 @@ class BraidWord:
         if not 2 <= self.n <= MAX_STRANDS:
             raise WordError(f"strand count {_brief(self.n)} out of range 2..{MAX_STRANDS}")
         letters = tuple(self.letters)
+        top = self.n - 1
+        # a plain loop: screening with set(map(type, ...)), min and max
+        # took 2-3 times as long on words of 4 to 100 letters (CPython 3.11)
         for k in letters:
-            if k == 0 or abs(k) > self.n - 1:
+            if type(k) is not int:  # a bool would pass as 1, a float reach sign
+                raise WordError(f"not an integer letter: {_brief(k)}")
+            if k == 0 or abs(k) > top:
                 raise WordError(f"letter {_brief(k)} out of range for {self.n} strands")
         object.__setattr__(self, "letters", letters)
 

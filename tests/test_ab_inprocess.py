@@ -34,3 +34,33 @@ def test_ops_per_s_ratio_is_the_inverse_ratio_of_the_time_sums():
     # 5 ops in 16 ms against 5 ops in 12 ms
     _, ratio = ab_inprocess.summary(KINDS, BEST)
     assert ratio == pytest.approx(16 / 12)
+
+
+def test_perturbed_copies_stay_well_formed_and_touch_only_arrows_and_crossings():
+    import random
+
+    from braidorder.cutseq import CuttingSequence, word_to_cutseq
+    from braidorder.words import BraidWord
+
+    rng = random.Random(5)
+    changed = 0
+    for j in range(300):
+        n = 2 + j % 8
+        s = word_to_cutseq(BraidWord(n, ab_inprocess.random_letters(rng, n)))
+        copy = ab_inprocess.perturbed(rng, n, s.letters)
+        CuttingSequence(n, copy)  # raises if the copy is malformed
+        for x, y in zip(s.letters, copy):
+            assert x == y or (x < 0 and y < 0) or (x & 1 and y & 1 and y >= 0)
+        changed += copy != s.letters
+    assert changed > 200
+
+
+def test_agreement_of_a_checkout_with_itself():
+    run = ab_inprocess.load_bench_run()
+    root = SCRIPT.parent.parent
+    libs = {side: ab_inprocess.load_library(root, f"braidorder_self_{side}", run.MODULES)
+            for side in ab_inprocess.SIDES}
+    differ, differ_sequences, checked, rejected = ab_inprocess.agreement(libs, seed=3, count=200)
+    assert differ == [] and differ_sequences == []
+    assert checked == 400
+    assert 50 < rejected < 250  # the perturbed copies exercise the rejections

@@ -21,6 +21,8 @@ import dataclasses
 import functools
 import itertools
 import random
+import struct
+import time
 
 import pytest
 
@@ -32,9 +34,17 @@ from braidorder import (
     validate,
     word_to_cutseq,
 )
-from braidorder import geometry
-from braidorder.cutseq import DOWN, UP, CuttingSequence, is_reduced, puncture_walk
+from braidorder import BraidWord, geometry
+from braidorder.cutseq import (
+    DOWN,
+    UP,
+    CuttingSequence,
+    is_reduced,
+    puncture_walk,
+    trivial_sequence,
+)
 from braidorder.geometry import _sort_crossings, occurrence_order
+from braidorder.words import MAX_STRANDS
 from conftest import random_word
 
 TWO_LETTER_IMAGE = "_0 ^ 1 v _3 v _1 v 3 ^ _2 ^ _4"
@@ -404,6 +414,36 @@ def test_validate_matches_reference(rng):
     assert rejected > 100  # the perturbed half exercises the rejections
 
 
+def reference_sweep(arcs):
+    """The first crossing pair of a sweep by left end, longer arcs first,
+    with a stack of the open arcs: the next arc crosses some open arc
+    exactly when it crosses the innermost one."""
+    stack = []
+    for c, d in sorted(arcs, key=lambda arc: (arc[0], -arc[1][0], -arc[1][1])):
+        while stack and stack[-1][1] <= c:
+            stack.pop()
+        if stack and stack[-1][1] < d:
+            return stack[-1], (c, d)
+        stack.append((c, d))
+    return None
+
+
+def test_named_crossing_arcs_are_the_first_a_sweep_by_left_end_meets(rng):
+    # the real-line walk finds a crossing where an arc closes below the top;
+    # the pair it names is the one a sweep by left end meets first, often
+    # not the arc that closed
+    named = 0
+    for s in equivalence_cases(rng, 1500):
+        v = validate(s)
+        if v.ok or " arcs cross: " not in v.reason:
+            continue
+        side = UP if v.reason.startswith("two upper") else DOWN
+        (a, b), (c, d) = reference_sweep(reference_arcs(s)[side])
+        assert v.reason.endswith(f": ({a}, {b}) and ({c}, {d})"), (str(s), v.reason)
+        named += 1
+    assert named > 100
+
+
 def test_named_crossing_arcs_really_cross(rng):
     named = 0
     for s in equivalence_cases(rng, 600):
@@ -433,12 +473,20 @@ def test_validate_checks_reducedness_once(monkeypatch):
     assert len(calls) == 1
 
 
+def all_entries(s):
+    """Every crossing's ``(value, upper, lower, position)`` entry, built for
+    all stretches at once from one set of packed keys, as ``validate`` builds
+    them."""
+    letters = s.letters
+    holes, offsets, keys = geometry._walk_keys(letters, 2 * (s.n + 1))
+    stretches = ((i, range(p + 2, q, 2)) for i, (p, q) in enumerate(zip(holes, holes[1:])))
+    return geometry._entries(letters, holes, offsets, keys, stretches)
+
+
 def all_intervals_order(s, k):
     """The order of interval k as ``validate`` reaches it: every interval's
-    crossings listed by ``_crossings``, then interval k's sorted."""
-    right, left, holes = geometry._walk_tables(s)
-    spots = geometry._crossings(s.letters, holes).get(k, [])
-    return geometry._interval_order(s, right, left, spots, k)
+    entries built, then interval k's sorted."""
+    return tuple(geometry._sort_crossings([e for e in all_entries(s) if e[0] == 2 * k + 1]))
 
 
 def test_private_occurrence_order_matches_the_all_intervals_route(rng):
@@ -456,49 +504,110 @@ def test_private_occurrence_order_matches_the_all_intervals_route(rng):
 
 
 def test_private_occurrence_order_reads_only_its_interval(monkeypatch, rng):
-    def refuse(*args):
-        raise AssertionError("every interval's crossings were listed")
+    tables, listed = [], []
+    walk_keys, entries = geometry._walk_keys, geometry._entries
 
-    tables = []
-    walk_tables = geometry._walk_tables
-    monkeypatch.setattr(geometry, "_crossings", refuse)
-    monkeypatch.setattr(geometry, "_walk_tables", lambda s: tables.append(s) or walk_tables(s))
+    def listing(letters, holes, offsets, keys, stretches):
+        stretches = [(i, list(positions)) for i, positions in stretches]
+        listed.append({letters[p] for _, positions in stretches for p in positions})
+        assert len(listed[-1]) == 1, "crossings of several intervals were listed"
+        return entries(letters, holes, offsets, keys, stretches)
+
+    monkeypatch.setattr(geometry, "_walk_keys", lambda *a: tables.append(a) or walk_keys(*a))
+    monkeypatch.setattr(geometry, "_entries", listing)
     for _ in range(200):
         s = word_to_cutseq(random_word(rng, rng.randint(2, 8), max_len=12))
         for k in range(s.n + 1):
             tables.clear()
+            listed.clear()
             order = geometry._occurrence_order(s, k)
-            # walk tables are built only when there is something to sort
+            # key arrays are built only when there is something to sort
             assert len(tables) == (len(order) >= 2)
+            assert listed == ([{2 * k + 1}] if len(order) >= 2 else [])
     for text in ("1 1 2 -1 2 2", "-2 -1 2 2 2 -1 2 -1", "1 2 1 1 2 -3 2 2 1"):
         canonical_form(parse_word(text, 4))
+
+
+def validate_order(monkeypatch, s):
+    """The real-line order of the points as ``validate`` sorted them, or
+    None when it returned before sorting."""
+    orders = []
+    sort = geometry._sort_crossings
+    monkeypatch.setattr(geometry, "_sort_crossings", lambda e: orders.append(sort(e)) or orders[0])
+    validate(s)
+    monkeypatch.setattr(geometry, "_sort_crossings", sort)
+    return orders[0] if orders else None
+
+
+def test_validate_orders_each_interval_as_occurrence_order(monkeypatch, rng):
+    several = 0
+    for j in range(1_000):
+        s = word_to_cutseq(random_word(rng, 2 + j % 9, max_len=12))
+        order = validate_order(monkeypatch, s)
+        values = [s.letters[p] for p in order]
+        # the holes and the crossings of each interval, left to right
+        assert values == sorted(values)
+        assert sorted(order) == [p for p, x in enumerate(s.letters) if x >= 0]
+        for k in range(s.n + 1):
+            want = occurrence_order(s, k)
+            assert tuple(p for p in order if s.letters[p] == 2 * k + 1) == want, (str(s), k)
+            several += len(want) >= 2
+    assert several > 500
 
 
 # --- the sort-and-verify helper on synthetic keys ------------------------------
 #
 # No sequence searched so far reaches the AmbiguityError branches, so the
-# helper is tested directly.  Upper keys are given in natural form and passed
-# with every entry e replaced by MOD - e, as the helper expects.
+# helper is tested directly.  Keys are given in natural form and packed as
+# validate packs them, two big-endian bytes an entry, the upper key
+# complemented (every entry e as 65535 - e), as the helper expects.
 
-MOD = 8
+
+def pack(key):
+    return struct.pack(f">{len(key)}H", *key)
 
 
-def entries(keys):
-    """Helper input from {position: (upper key, lower key)}."""
-    return [([MOD - e for e in up], list(down), p) for p, (up, down) in keys.items()]
+def entries(keys, value=1):
+    """Helper input from {position: (upper key, lower key)}, all crossings
+    of the interval with doubled value ``value``."""
+    return [
+        (value, pack([0xFFFF - e for e in up]), pack(down), p) for p, (up, down) in keys.items()
+    ]
+
+
+def sort_crossings(entries):
+    return tuple(_sort_crossings(entries))
+
+
+def test_packed_keys_compare_as_their_entry_lists():
+    rng = random.Random(20261019)
+    top = 2 * (MAX_STRANDS + 1)
+    assert top < 2**16  # two bytes an entry hold every entry at MAX_STRANDS
+    flip = bytes(range(255, -1, -1))
+    for _ in range(2000):
+        a, b = (
+            tuple(rng.choice((1, 2, 255, 256, 257, top - 1)) for _ in range(rng.randint(0, 4)))
+            for _ in range(2)
+        )
+        assert (pack(a) < pack(b)) == (a < b)
+        assert pack(b).startswith(pack(a)) == (b[: len(a)] == a)
+        # complemented, the order of two keys reverses unless one starts the other
+        if b[: len(a)] != a and a[: len(b)] != b:
+            assert (pack(a).translate(flip) < pack(b).translate(flip)) == (a > b)
+        assert pack(b).translate(flip).startswith(pack(a).translate(flip)) == (b[: len(a)] == a)
 
 
 def test_sort_crossings_orders_by_upper_then_lower():
     keys = {0: ((1, 2), (3,)), 1: ((2,), (1,)), 2: ((1, 3), (5,)), 3: ((1, 3), (4, 1))}
     # larger upper key first; on the tie (1, 3), the smaller lower key first
-    assert _sort_crossings(entries(keys), 0) == (1, 3, 2, 0)
+    assert sort_crossings(entries(keys)) == (1, 3, 2, 0)
 
 
 def test_sort_crossings_rejects_prefix_pair_separated_by_other_keys():
     # (2,) is a prefix of (2, 1, 1); (2, 1) sorts between them
     keys = {0: ((2,), (1,)), 1: ((2, 1), (1,)), 2: ((2, 1, 1), (1,)), 3: ((3,), (1,))}
     with pytest.raises(AmbiguityError, match="prefix"):
-        _sort_crossings(entries(keys), 0)
+        sort_crossings(entries(keys))
     ups = {p: u for p, (u, _) in keys.items()}
     downs = {p: d for p, (_, d) in keys.items()}
     with pytest.raises(AmbiguityError):
@@ -507,14 +616,28 @@ def test_sort_crossings_rejects_prefix_pair_separated_by_other_keys():
 
 def test_sort_crossings_rejects_equal_uppers_with_equal_lowers():
     keys = {4: ((2, 5), (3, 1)), 9: ((2, 5), (3, 1))}
-    with pytest.raises(AmbiguityError, match="identical walks"):
-        _sort_crossings(entries(keys), 2)
+    with pytest.raises(AmbiguityError, match=r"\(2, 3\) at positions 4 and 9 have identical"):
+        sort_crossings(entries(keys, value=5))
 
 
 def test_sort_crossings_rejects_equal_uppers_with_prefix_lowers():
     keys = {4: ((2, 5), (3, 1, 6)), 7: ((2, 5), (3, 2)), 9: ((2, 5), (3,))}
     with pytest.raises(AmbiguityError, match="prefix"):
-        _sort_crossings(entries(keys), 2)
+        sort_crossings(entries(keys, value=5))
+
+
+def test_sort_crossings_checks_only_pairs_of_one_interval():
+    # every key starts with a hole's empty key, and the key of interval 0's
+    # crossing starts that of an interval 1 crossing; no pair of one
+    # interval is ambiguous
+    keys = {10: ((1, 1), (2,)), 12: ((2,), (2,))}
+    holes = [(2 * k, b"", b"", p) for k, p in enumerate((0, 8, 20))]
+    points = entries({4: ((1,), (2,))}, value=1) + holes + entries(keys, value=3)
+    assert sort_crossings(points) == (0, 4, 8, 12, 10, 20)
+    # two ambiguous intervals: the first failing pair on the real line is named
+    bad = entries({14: ((3,), (1,)), 16: ((3,), (1,))}, value=3)
+    with pytest.raises(AmbiguityError, match=r"\(1, 2\) at positions 14 and 16"):
+        sort_crossings(entries({2: ((1,), (2,))}, value=1) + holes + bad)
 
 
 def test_sort_crossings_agrees_with_all_pairs_check():
@@ -531,6 +654,39 @@ def test_sort_crossings_agrees_with_all_pairs_check():
         ups = {p: u for p, (u, _) in keys.items()}
         downs = {p: d for p, (_, d) in keys.items()}
         want = outcome(reference_sort, ups, downs, 0)
-        assert outcome(_sort_crossings, entries(keys), 0) == want, keys
+        assert outcome(sort_crossings, entries(keys)) == want, keys
         raised += want is AmbiguityError
     assert 300 < raised < 2700  # both branches well exercised
+
+
+# --- at the size bound -----------------------------------------------------------
+
+
+def test_validate_and_order_the_trivial_diagram_at_the_strand_bound():
+    s = trivial_sequence(MAX_STRANDS)
+    t0 = time.perf_counter()
+    assert validate(s).ok
+    for k in (0, 1, MAX_STRANDS // 2, MAX_STRANDS):
+        assert occurrence_order(s, k) == ()
+    elapsed = time.perf_counter() - t0
+    # one hole pair costs O(1): n + 1 of them, each scanning the letters,
+    # took over a second
+    assert elapsed < 0.5, f"{elapsed:.3f} s"
+
+
+def test_validate_and_order_a_word_image_on_the_top_strands():
+    n = MAX_STRANDS
+    top = n - 1
+    # the top strands' curves cross intervals near n and turn back near 0,
+    # so walk entries come within 2 of mod = 20,002 and need both bytes
+    w = BraidWord(n, (top, top - 1, -top, top - 1, top - 1, top, -(top - 1), top))
+    s = word_to_cutseq(w)
+    assert validate(s).ok
+    crossings = [p for p, x in enumerate(s.letters) if x > 0 and x & 1]
+    assert max(max(cyclic_key(up_string(s, p), n)) for p in crossings) == 2 * (n + 1) - 2
+    several = 0
+    for k in range(n - 4, n + 1):
+        want = reference_occurrence_order(s, k)
+        assert occurrence_order(s, k) == want
+        several += len(want) >= 2
+    assert several

@@ -1,3 +1,4 @@
+import re
 import time
 
 import pytest
@@ -68,6 +69,24 @@ def test_constructor_validates_letters():
         BraidWord(2, (2,))
     with pytest.raises(WordError):
         BraidWord(1, ())
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "1", None, 2.0])
+def test_constructor_refuses_letters_that_are_not_ints(bad):
+    # a bool would otherwise pass as the letter 1, and a float or a string
+    # would reach sign and the cutting-sequence action
+    with pytest.raises(WordError, match=f"not an integer letter: {re.escape(repr(bad))}"):
+        BraidWord(3, (1, bad, -2))
+
+
+def test_constructor_names_the_first_bad_letter():
+    with pytest.raises(WordError, match="letter 0 out of range"):
+        BraidWord(3, (1, 0, "x", 5))
+    with pytest.raises(WordError, match="not an integer letter: 'x'"):
+        BraidWord(3, (1, "x", 0, 5))
+    with pytest.raises(WordError, match="letter -5 out of range"):
+        BraidWord(3, (1, -5, 5))
+    assert BraidWord(3, (2, -2, 1, -1)).letters == (2, -2, 1, -1)
 
 
 def test_strand_count_is_bounded():
