@@ -17,7 +17,9 @@ over its side's passes, and every output is checked by ``bench/run.py``'s
 Before the timing, both sides take ``canonical_form``, ``word_to_cutseq``
 and ``sign`` of the same 3,000 seeded random words (n = 2..9, length
 0..16), and ``compare`` and ``braid_equal`` of each word against a seeded
-partner: the word with a trivial chunk inserted, or another random word.
+partner: the word with a trivial chunk inserted, or another random word;
+``compare_sequences`` takes the two words' sequences, and its answer or
+its error (type and message) must be the same.
 Both sides also take ``validate`` (verdict and reason) and the
 ``occurrence_order`` of every interval of each word's sequence and of a
 perturbed copy, with one to three arrows flipped or crossing values
@@ -119,10 +121,20 @@ def geometry_outcome(lib: dict, s) -> tuple:
     return v.ok, v.reason, tuple(orders)
 
 
+def sequence_order(lib: dict, s, t):
+    """``compare_sequences(s, t)``'s value, or its error's type and
+    message."""
+    try:
+        return lib["braidorder.order"].compare_sequences(s, t).value
+    except Exception as e:  # an error, too, must be the same on both sides
+        return type(e).__name__, str(e)
+
+
 def agreement(libs: dict[str, dict], seed: int, count: int = AGREEMENT_WORDS):
     """The words on which the sides' ``canonical_form`` (word, sign,
     iterations), ``word_to_cutseq`` or ``sign`` differ, or its ``compare``
-    or ``braid_equal`` against its partner, as text; then the sequences,
+    or ``braid_equal`` against its partner, or ``compare_sequences`` of the
+    two words' sequences, as text; then the sequences,
     each word's and its perturbed copy, on which :func:`geometry_outcome`
     differs, as text; then how many sequences were checked and how many
     ``validate`` rejected."""
@@ -149,6 +161,7 @@ def agreement(libs: dict[str, dict], seed: int, count: int = AGREEMENT_WORDS):
                     (t.kind, t.index),
                     order.compare(word, b).value,
                     lib["braidorder"].braid_equal(word, b),
+                    sequence_order(lib, s, cutseq.word_to_cutseq(b)),
                 )
             )
             # the same perturbation on both sides: its own seeded stream
@@ -194,7 +207,10 @@ def main() -> int:
         for side in SIDES
     }
     differ, differ_sequences, checked, rejected = agreement(libs, args.seed)
-    print(f"agreement: {AGREEMENT_WORDS - len(differ)} of {AGREEMENT_WORDS} words alike")
+    print(
+        f"agreement: {AGREEMENT_WORDS - len(differ)} of {AGREEMENT_WORDS} words alike "
+        "(canonical_form, word_to_cutseq, sign, compare, braid_equal, compare_sequences)"
+    )
     for text in differ[:10]:
         print(f"  differs: {text}")
     print(

@@ -35,41 +35,25 @@ class CanonicalError(RuntimeError):
     """The slide loop contradicted an invariant; always a bug, never data."""
 
 
-@dataclasses.dataclass(frozen=True)
-class UsefulSubword:
-    """One candidate slide arc, stored from its far puncture end inward.
-
-    ``values`` runs from the terminating puncture a_l down to the anchor
-    value i; ``arrows`` are the excursions between consecutive values;
-    ``hole_anchored`` marks the arc that starts at the puncture i itself
-    (always the leftmost candidate); ``anchor`` is the anchor letter's
-    position in the sequence.
-    """
-
-    values: tuple[int, ...]
-    arrows: tuple[int, ...]
-    hole_anchored: bool
-    anchor: int
-
-
 def find_useful_subwords(
     s: CuttingSequence, i: int, direction: int
-) -> list[UsefulSubword]:
+) -> list[tuple[int, tuple]]:
     """All arcs usable for a slide, for a sequence starting _0.._i ``direction``.
 
-    Each crossing of (i, i+1) is read toward its ``direction`` arrow, and the
-    puncture i is read forward; a read is usable when it reaches a puncture
-    without meeting another crossing of (i, i+1) on the way, the puncture it
-    reaches is neither i+1 nor the far boundary point (there is no puncture
-    to slide there), and so encodes an arc back to the critical stretch.
+    An arc is (anchor position, walk), the walk as :func:`puncture_walk`
+    reads it.  The puncture i (position i) is read forward and comes first,
+    then each crossing of (i, i+1), read toward its ``direction`` arrow; a
+    read is usable when it reaches a puncture without meeting another
+    crossing of (i, i+1) on the way, the puncture it reaches is neither i+1
+    nor the far boundary point (there is no puncture to slide there), and so
+    encodes an arc back to the critical stretch.
     """
     hole = _hole_subword(s, i, direction)
-    crossings = [_subword(walk, False, p) for p, walk in _crossing_walks(s, i, direction)]
-    return ([] if hole is None else [hole]) + crossings
+    return ([] if hole is None else [hole]) + _crossing_walks(s, i, direction)
 
 
-def _hole_subword(s: CuttingSequence, i: int, direction: int) -> UsefulSubword | None:
-    """The puncture i's read, if usable, after checking that ``s`` starts
+def _hole_subword(s: CuttingSequence, i: int, direction: int) -> tuple[int, tuple] | None:
+    """The puncture i's arc, if usable, after checking that ``s`` starts
     _0.._i ``direction`` (``ValueError`` if not)."""
     letters = s.letters
     run = initial_hole_run(s)
@@ -77,7 +61,7 @@ def _hole_subword(s: CuttingSequence, i: int, direction: int) -> UsefulSubword |
         arrow = "^" if direction == UP else "v"
         raise ValueError(f"sequence does not start _0.._{i} {arrow}")
     walk = puncture_walk(letters, i, +1)
-    return _subword(walk, True, i) if _usable(walk, i, s.n) else None
+    return (i, walk) if _usable(walk, i, s.n) else None
 
 
 def _crossing_walks(s: CuttingSequence, i: int, direction: int) -> list[tuple[int, tuple]]:
@@ -98,22 +82,15 @@ def _usable(walk, i: int, n: int) -> bool:
     return walk[-1] not in (2 * i, 2 * i + 2, 2 * n + 2) and 2 * i + 1 not in walk[2::2]
 
 
-def _subword(walk, hole_anchored: bool, anchor: int) -> UsefulSubword:
-    """The arc of a usable walk: values from the puncture back to the
-    anchor, and the arrows between them likewise."""
-    return UsefulSubword(tuple(x >> 1 for x in walk[::-2]), walk[-2::-2], hole_anchored, anchor)
-
-
 def leftmost_useful_subword(
     s: CuttingSequence, i: int, direction: int
-) -> UsefulSubword:
-    """The candidate whose anchor sits leftmost on the critical stretch.
+) -> tuple[int, tuple]:
+    """The arc whose anchor sits leftmost on the critical stretch.
 
     The puncture-anchored arc, if usable, starts at the stretch's left
     endpoint and wins outright, so it is read first and the crossings are
     read only when it is not usable.  Then one usable crossing wins alone,
-    and among two or more the crossings' real-line order decides; only the
-    winner's walk is turned into a :class:`UsefulSubword`.  An empty
+    and among two or more the crossings' real-line order decides.  An empty
     candidate set contradicts the existence of a useful arc for every
     nontrivial diagram, so it raises.
     """
@@ -124,39 +101,36 @@ def leftmost_useful_subword(
     if not walks:
         raise CanonicalError("no useful arc found; the slide argument is violated")
     if len(walks) == 1:
-        p, walk = walks[0]
-        return _subword(walk, False, p)
+        return walks[0]
     by_anchor = dict(walks)
     # s comes from the generator action, so it is reduced
     for p in _occurrence_order(s, i):
         if p in by_anchor:
-            return _subword(by_anchor[p], False, p)
+            return p, by_anchor[p]
     raise CanonicalError("candidate anchors missing from the occurrence order")
 
 
-def emit_slide_word(u: UsefulSubword, s: CuttingSequence) -> BraidWord:
-    """The generator word performing the slide along ``u``, as a
+def emit_slide_word(arc: tuple[int, tuple], s: CuttingSequence) -> BraidWord:
+    """The generator word performing the slide along ``arc``, as a
     :class:`BraidWord` on ``s``'s strands; see :func:`_slide_letters`."""
-    return BraidWord(s.n, tuple(_slide_letters(u)))
+    return BraidWord(s.n, tuple(_slide_letters(arc[1])))
 
 
-def _slide_letters(u: UsefulSubword) -> list[int]:
-    """The letters of the slide along ``u``.
+def _slide_letters(walk) -> list[int]:
+    """The letters of the slide along the arc ``walk``.
 
-    The far puncture c is removed from the line, every crossing value at or
-    above c shifts down one, the arc is reduced as a fragment of crossings
-    and arrows (where the sequence rules only collapse same-direction
-    excursions and merge equal neighbors), and each remaining excursion
-    becomes a run of generators: ascending upper runs are positive, their
-    mirrors inverse, per the four-case table below.
+    The far puncture c = ``walk[-1]`` is removed from the line, every
+    crossing above it shifts down one value, the arc is read back from c (as
+    the crossing below it) to the anchor (as a crossing of its own value) and
+    reduced (where the sequence rules only collapse same-direction excursions
+    and merge equal neighbors), and each remaining excursion becomes a run of
+    generators: ascending upper runs are positive, their mirrors inverse, per
+    the four-case table below.
     """
-    c = u.values[0]
-    # the final anchor value stays untouched
-    values = [v - 1 if v >= c else v for v in u.values[:-1]] + [u.values[-1]]
-    fragment = [2 * values[0] + 1]
-    for arrow, v in zip(u.arrows, values[1:]):
-        fragment += [arrow, 2 * v + 1]
-    fragment = _reduce_letters(fragment)
+    c = walk[-1]
+    fragment = _reduce_letters(
+        [c - 1, *(x - 2 if x > c else x for x in walk[-2:0:-1]), walk[0] | 1]
+    )
     letters: list[int] = []
     for j in range(1, len(fragment), 2):
         a, arrow, b = fragment[j - 1] >> 1, fragment[j], fragment[j + 1] >> 1
@@ -224,8 +198,8 @@ def canonical_form(w: BraidWord, max_iterations: int | None = None) -> Canonical
         if iterations >= max_iterations:
             raise CanonicalError(f"no convergence after {iterations} slides (a bug)")
         run = before[0]  # the first deviating curve is the hole run's length
-        u = leftmost_useful_subword(chi, run - 1, chi.letters[run])
-        v = _slide_letters(u)
+        _, walk = leftmost_useful_subword(chi, run - 1, chi.letters[run])
+        v = _slide_letters(walk)
         chi = _act_word(chi, v)
         after = complexity(chi)
         if not _less_complex(after, before):

@@ -46,6 +46,8 @@ class RewriteError(RuntimeError):
 
 
 def _check_strands(n: int) -> None:
+    if type(n) is not int:  # a bool or a float would slip past the range
+        raise InvalidSequenceError(f"not an integer strand count: {_brief(n)}")
     if not 2 <= n <= MAX_STRANDS:
         raise InvalidSequenceError(f"strand count {_brief(n)} out of range 2..{MAX_STRANDS}")
 
@@ -286,8 +288,8 @@ def apply_generator(s: CuttingSequence, i: int, sign: int = 1) -> CuttingSequenc
     """
     if not 1 <= i <= s.n - 1:
         raise ValueError(f"generator index {i} out of range 1..{s.n - 1}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    if type(sign) is not int or sign not in (1, -1):  # True and 1.0 equal 1
+        raise ValueError(f"sign must be +1 or -1, got {_brief(sign)}")
     return _act_word(s, (i if sign > 0 else -i,))
 
 

@@ -155,13 +155,13 @@ def braid_equal(a: BraidWord, b: BraidWord) -> bool:
 # branch.  To compare them, the punctures visited inside the common stretch
 # stop being special (their underlines go away, so the walks may pass and
 # cancel through them), both sequences are re-reduced, and each is walked from
-# the start to its first remaining puncture.  The walk's record - one turning
-# entry per excursion, on the same doubled grid as the geometry module - is
-# compared entry by entry.  At the first difference: a lower excursion loses
-# to running straight into a puncture, which loses to an upper excursion;
-# within a common direction the larger turning entry belongs to the larger
-# braid.  Corners the walk cannot decide raise AmbiguityError instead of
-# guessing; the suite cross-validates against compare() on random pairs.
+# the start to its first remaining puncture.  The walk's record - one ray per
+# step, from the turning entries on the geometry module's doubled grid - is
+# compared ray by ray.  At the first difference: a lower excursion loses to
+# running straight into a puncture, which loses to an upper excursion; within
+# a common direction the larger turning entry belongs to the larger braid.
+# Corners the walk cannot decide raise AmbiguityError instead of guessing; the
+# suite cross-validates against compare() on random pairs.
 
 
 def _strip_and_reduce(letters, common: int):
@@ -175,48 +175,31 @@ def _strip_and_reduce(letters, common: int):
     )
 
 
-_EAST = ("flat", 1)
-_WEST = ("flat", -1)
-
-
 def _walk_steps(items, n):
-    """Steps of the start curve segment, from the start letter to the first
-    puncture after it, inclusive.  A step is either a straight move along the
-    axis, ("flat", +-1), or an excursion through the upper or lower half
-    plane, (arrow, turning value)."""
+    """The rays of the start curve segment's steps, from the start letter to
+    the first puncture after it, inclusive.  A ray is the direction a step
+    leaves its start point, as an angle in half-unit turns, with
+    mod = 2(n + 1): 0 = a straight move east along the axis, mod = west,
+    the turning entry (in (0, mod), larger = reaching further, cyclically)
+    for an excursion into the upper half plane, and mod + the entry for
+    one into the lower half plane.  Distinct steps have distinct rays."""
     mod = 2 * (n + 1)
     # stripped punctures read as their values; then only arrows are negative
     walk = [~x if x < DOWN else x for x in puncture_walk(items, 0, 1)]
-    steps = []
+    rays = []
     j = 0
     while j + 1 < len(walk):
         x, nxt = walk[j], walk[j + 1]
         if nxt < 0:
-            diff = walk[j + 2] - x
-            if nxt == DOWN:
-                diff = -diff
-            rep = diff % mod
+            rep = (walk[j + 2] - x if nxt == UP else x - walk[j + 2]) % mod
             if rep == 0:
                 raise AmbiguityError("zero turning entry in an order walk")
-            steps.append((nxt, rep))
+            rays.append(rep if nxt == UP else mod + rep)
             j += 2
         else:
-            steps.append(_EAST if nxt > x else _WEST)
+            rays.append(0 if nxt > x else mod)
             j += 1
-    return steps
-
-
-def _ray(step, mod):
-    """The direction a step leaves its start point, as an angle in half-unit
-    turns: 0 = east along the axis, (0, mod) = into the upper half plane
-    (larger = reaching further, cyclically), mod = west, (mod, 2*mod) = into
-    the lower half plane."""
-    kind, value = step
-    if kind == UP:
-        return value
-    if kind == DOWN:
-        return mod + value
-    return 0 if value > 0 else mod
+    return rays
 
 
 def compare_sequences(s: CuttingSequence, t: CuttingSequence) -> Ordering:
@@ -251,10 +234,9 @@ def compare_sequences(s: CuttingSequence, t: CuttingSequence) -> Ordering:
         raise AmbiguityError("sequences differ but their order walks agree")
     # The ray back along the shared arrival is the arriving step's ray turned
     # by a half turn; at the start of the walk it points west, into the
-    # boundary, as after an eastward step.
-    back = mod - (_ray(pa[d - 1], mod) if d > 0 else 0)
-    phi_a = (_ray(pa[d], mod) - back) % (2 * mod)
-    phi_b = (_ray(pb[d], mod) - back) % (2 * mod)
-    if phi_a == phi_b:
-        raise AmbiguityError("indistinguishable departures in an order walk")
+    # boundary, as after an eastward step.  The rays at d differ, so the
+    # angles measured from it do too.
+    back = mod - (pa[d - 1] if d > 0 else 0)
+    phi_a = (pa[d] - back) % (2 * mod)
+    phi_b = (pb[d] - back) % (2 * mod)
     return Ordering.GREATER if phi_a > phi_b else Ordering.LESS

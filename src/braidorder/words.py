@@ -29,6 +29,8 @@ class BraidWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if type(self.n) is not int:  # a bool or a float would slip past the range
+            raise WordError(f"not an integer strand count: {_brief(self.n)}")
         if not 2 <= self.n <= MAX_STRANDS:
             raise WordError(f"strand count {_brief(self.n)} out of range 2..{MAX_STRANDS}")
         letters = tuple(self.letters)

@@ -64,3 +64,53 @@ def test_agreement_of_a_checkout_with_itself():
     assert differ == [] and differ_sequences == []
     assert checked == 400
     assert 50 < rejected < 250  # the perturbed copies exercise the rejections
+
+
+def local_libs(package):
+    run = ab_inprocess.load_bench_run()
+    root = SCRIPT.parent.parent
+    return {side: ab_inprocess.load_library(root, f"{package}_{side}", run.MODULES)
+            for side in ab_inprocess.SIDES}
+
+
+def test_sequence_order_is_the_value_or_the_error():
+    lib = local_libs("braidorder_order")["parent"]
+    make = lib["braidorder.words"].BraidWord
+    image = lib["braidorder.cutseq"].word_to_cutseq
+    s, t = image(make(3, (1,))), image(make(3, (-2,)))
+    assert ab_inprocess.sequence_order(lib, s, t) == 1
+    assert ab_inprocess.sequence_order(lib, t, s) == -1
+    assert ab_inprocess.sequence_order(lib, s, s) == 0
+    assert ab_inprocess.sequence_order(lib, s, image(make(2, ()))) == (
+        "InvalidSequenceError",
+        "strand count mismatch: 3 vs 2",
+    )
+
+
+def test_agreement_checks_the_value_of_compare_sequences(monkeypatch):
+    libs = local_libs("braidorder_flipped")
+    order = libs["change"]["braidorder.order"]
+    right = order.compare_sequences
+    monkeypatch.setattr(
+        order, "compare_sequences", lambda s, t: order.Ordering(-right(s, t).value)
+    )
+    differ, differ_sequences, _, _ = ab_inprocess.agreement(libs, seed=3, count=50)
+    # the partners that are other braids are ordered the other way round
+    assert len(differ) > 10 and differ_sequences == []
+
+
+@pytest.mark.parametrize("message, differs", [("a message", False), ("another message", True)])
+def test_agreement_checks_the_error_of_compare_sequences(monkeypatch, message, differs):
+    libs = local_libs("braidorder_refusing" + "_other" * differs)
+
+    def refusing(order, text):
+        def compare_sequences(s, t):
+            raise order.AmbiguityError(text)
+
+        return compare_sequences
+
+    for side, text in (("parent", "a message"), ("change", message)):
+        order = libs[side]["braidorder.order"]
+        monkeypatch.setattr(order, "compare_sequences", refusing(order, text))
+    differ, _, _, _ = ab_inprocess.agreement(libs, seed=3, count=20)
+    assert len(differ) == (20 if differs else 0)

@@ -19,7 +19,6 @@ from braidorder import (
 )
 from braidorder.canonical import (
     CanonicalError,
-    UsefulSubword,
     complexity,
     find_useful_subwords,
     leftmost_useful_subword,
@@ -31,6 +30,7 @@ from braidorder.cutseq import (
     _check_well_formed,
     initial_hole_run,
     is_reduced,
+    puncture_walk,
     trivial_sequence,
 )
 from braidorder.geometry import _occurrence_order, occurrence_order
@@ -83,12 +83,40 @@ def test_complexity_measures():
     assert complexity(word_to_cutseq(parse_word("1 1", 3))) == (1, 1)
 
 
+def hole_anchored(arc):
+    """Does the arc (anchor position, walk) start at a puncture?"""
+    return arc[1][0] & 1 == 0
+
+
 def test_find_useful_subwords_on_generator_image():
     # the image of sigma_1 starts _0 ^, so the critical interval is gap 0
     s = word_to_cutseq(parse_word("1", 3))
     subs = find_useful_subwords(s, 0, UP)
     assert len(subs) >= 1
-    assert any(u.hole_anchored for u in subs)
+    assert any(hole_anchored(u) for u in subs)
+
+
+def test_every_arc_is_the_walk_from_its_anchor(rng):
+    arcs = crossing_arcs = 0
+    for _ in range(300):
+        s = word_to_cutseq(random_word(rng, rng.randint(2, 8), max_len=14))
+        if s.is_trivial():
+            continue
+        run = initial_hole_run(s)
+        i, direction = run - 1, s.letters[run]
+        for k, (p, walk) in enumerate(find_useful_subwords(s, i, direction)):
+            # the puncture i is read forward and is listed first; a crossing
+            # of (i, i+1) is read toward its direction arrow
+            if hole_anchored((p, walk)):
+                assert k == 0 and p == i
+                step = 1
+            else:
+                assert s.letters[p] == 2 * i + 1
+                step = 1 if s.letters[p + 1] == direction else -1
+                crossing_arcs += 1
+            assert walk == puncture_walk(s.letters, p, step)
+            arcs += 1
+    assert arcs > 300 and crossing_arcs > 100
 
 
 def test_find_useful_subwords_checks_shape():
@@ -102,9 +130,9 @@ def test_find_useful_subwords_checks_shape():
 def test_leftmost_useful_subword_prefers_the_puncture_read():
     s = word_to_cutseq(parse_word("1", 3))
     u = leftmost_useful_subword(s, 0, UP)
-    assert isinstance(u, UsefulSubword)
-    assert u.hole_anchored
-    assert u.values == (2, 0)
+    assert hole_anchored(u)
+    # from the puncture 0 at position 0 over the top to the puncture 2
+    assert u == (0, (0, UP, 4))
 
 
 def test_leftmost_useful_subword_checks_shape():
@@ -120,10 +148,10 @@ def reference_leftmost_useful_subword(s, i, direction):
     real-line order."""
     candidates = find_useful_subwords(s, i, direction)
     for u in candidates:
-        if u.hole_anchored:
+        if hole_anchored(u):
             return u
-    by_anchor = {u.anchor: u for u in candidates}
-    return next(by_anchor[p] for p in occurrence_order(s, i) if p in by_anchor)
+    by_anchor = dict(candidates)
+    return next((p, by_anchor[p]) for p in occurrence_order(s, i) if p in by_anchor)
 
 
 def test_leftmost_useful_subword_matches_the_read_everything_reference(rng):
@@ -136,7 +164,7 @@ def test_leftmost_useful_subword_matches_the_read_everything_reference(rng):
         run = initial_hole_run(s)
         u = leftmost_useful_subword(s, run - 1, s.letters[run])
         assert u == reference_leftmost_useful_subword(s, run - 1, s.letters[run])
-        crossing_wins += not u.hole_anchored
+        crossing_wins += not hole_anchored(u)
     assert crossing_wins > 20
 
 
@@ -245,7 +273,7 @@ def test_leftmost_useful_subword_matches_the_reference_where_one_arc_is_usable()
         assert u == reference_leftmost_useful_subword(s, i, direction)
         candidates = find_useful_subwords(s, i, direction)
         lone_arcs += (
-            not candidates[0].hole_anchored
+            not hole_anchored(candidates[0])
             and len(candidates) == 1
             and s.letters.count(2 * i + 1) >= 2
         )

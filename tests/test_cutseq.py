@@ -72,6 +72,22 @@ def test_strand_count_is_bounded():
         CuttingSequence(MAX_STRANDS + 1, too_many)
 
 
+@pytest.mark.parametrize("bad", [3.0, True, "3", None])
+def test_a_strand_count_that_is_not_an_int_is_refused(bad):
+    # 3.0 == 3, so the float would otherwise build and validate as n = 3
+    with pytest.raises(InvalidSequenceError, match="not an integer strand count"):
+        CuttingSequence(bad, (0, 2, 4, 6, 8))
+    with pytest.raises(InvalidSequenceError, match="not an integer strand count"):
+        trivial_sequence(bad)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, -1.0, 2, 0, "1"])
+def test_apply_generator_takes_only_the_int_signs(bad):
+    # True and 1.0 equal 1, so a membership test alone lets them through
+    with pytest.raises(ValueError, match="sign must be"):
+        apply_generator(trivial_sequence(3), 1, bad)
+
+
 @pytest.mark.parametrize(
     "n, letters",
     [(10**5000, (0,)), (3, (0, 10**5000, 8)), (3, (0, 10**5000 + 1, 8)), (3, (0, -(10**5000), 8))],

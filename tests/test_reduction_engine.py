@@ -18,7 +18,7 @@ import random
 import pytest
 
 from braidorder import BraidWord, CuttingSequence, word_to_cutseq
-from braidorder.canonical import CanonicalError, UsefulSubword, emit_slide_word
+from braidorder.canonical import CanonicalError, emit_slide_word
 from braidorder.cutseq import DOWN, UP, _reduce_letters, _try_rule, is_reduced
 from braidorder.order import _strip_and_reduce
 from conftest import random_word
@@ -157,9 +157,11 @@ def _straighten(values, arrows):
                     break
 
 
-def _reference_slide_word(u, n):
-    values = list(u.values)
-    arrows = list(u.arrows)
+def _reference_slide_word(values, arrows, n):
+    """The slide word of the arc with ``values`` from its far puncture to
+    its anchor and the ``arrows`` between them."""
+    values = list(values)
+    arrows = list(arrows)
     c = values[0]
     for j in range(len(values) - 1):
         if values[j] >= c:
@@ -275,9 +277,13 @@ def test_slide_words_match_reference():
     for _ in range(3000):
         arrows = tuple(rng.choice((UP, DOWN)) for _ in range(rng.randint(1, 9)))
         values = tuple(rng.randint(1, 5) for _ in range(len(arrows) + 1))
-        u = UsefulSubword(values, arrows, hole_anchored=False, anchor=0)
+        # the arc as a walk: from the crossing anchor to the puncture
+        walk = [2 * values[0]]
+        for arrow, v in zip(arrows, values[1:]):
+            walk += [arrow, 2 * v + 1]
+        u = (0, tuple(reversed(walk)))
         try:
-            want = _reference_slide_word(u, n)
+            want = _reference_slide_word(values, arrows, n)
         except CanonicalError:
             with pytest.raises(CanonicalError):
                 emit_slide_word(u, s)

@@ -97,6 +97,14 @@ def test_strand_count_is_bounded():
         parse_word("", 10**9)
 
 
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", None])
+def test_constructor_refuses_a_strand_count_that_is_not_an_int(bad):
+    # a float would otherwise reach sign ("can't multiply sequence by
+    # non-int") and canonical_form, and True would pass as 1
+    with pytest.raises(WordError, match=f"not an integer strand count: {re.escape(repr(bad))}"):
+        BraidWord(bad, (1,))
+
+
 @pytest.mark.parametrize(
     "make", [lambda: BraidWord(3, (10**5000,)), lambda: BraidWord(3, (-(10**5000),)),
              lambda: BraidWord(10**5000)],
