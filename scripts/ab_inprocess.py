@@ -27,8 +27,11 @@ changed, so that rejections are exercised too.  Every result must be the
 same on both sides.
 
 It prints, for each operation kind, the milliseconds per operation on each
-side (the mean of the best times) and the change/parent ratio, then the
-ops/s of each side and their ratio.  It exits 1 on a wrong or differing
+side (the mean of the best times), the change/parent ratio, and the
+parent's own split ratio: its best times over the odd rounds (where it goes
+first) against those over the even rounds.  A change/parent ratio no
+further from 1 than the split ratio is noise.  Then it prints the ops/s of
+each side and their ratio.  It exits 1 on a wrong or differing
 answer.  Standard library only; ``bench/`` is read, never written.
 """
 
@@ -192,6 +195,14 @@ def summary(kinds: list[str], best: dict[str, list[float]]) -> tuple[list[tuple]
     return rows, sum(best["parent"]) / sum(best["change"])
 
 
+def split_ratios(kinds: list[str], odd: list[float], even: list[float]) -> dict[str, float]:
+    """Per kind, one side's best times over the odd rounds against those
+    over the even rounds: the ratio :func:`summary` gives with the two
+    halves of one side's passes as its two sides."""
+    rows, _ = summary(kinds, {"parent": even, "change": odd})
+    return {kind: ratio for kind, _, _, _, ratio in rows}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -200,6 +211,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--passes", type=int, default=14, help="timed passes per side")
     args = parser.parse_args()
+    if args.passes < 2:  # the split ratio needs an odd and an even round
+        parser.error("--passes must be 2 or more")
 
     run = load_bench_run()
     libs = {
@@ -235,6 +248,7 @@ def main() -> int:
     calls = {side: [run.runner(lib, op) for op in ops] for side, lib in libs.items()}
     checks = {side: run.Checker(lib) for side, lib in libs.items()}
     best = {side: [float("inf")] * len(ops) for side in SIDES}
+    parent_split = [[float("inf")] * len(ops) for _ in range(2)]  # even, odd rounds
     wrong = {side: 0 for side in SIDES}
     for r in range(args.passes + 1):  # round 0 is the untimed warm-up
         for side in SIDES if r % 2 else SIDES[::-1]:
@@ -247,14 +261,24 @@ def main() -> int:
                 outputs.append(out)
                 if r:
                     best[side][j] = min(best[side][j], dt)
+                    if side == "parent":
+                        parent_split[r % 2][j] = min(parent_split[r % 2][j], dt)
             for j, (op, out) in enumerate(zip(ops, outputs)):
                 wrong[side] += not checks[side](j, op, out)
 
-    rows, ratio = summary([op.kind for op in ops], best)
+    kinds = [op.kind for op in ops]
+    rows, ratio = summary(kinds, best)
+    noise = split_ratios(kinds, parent_split[1], parent_split[0])
     print(f"{args.workload} seed {args.seed}: {len(ops)} ops, best of {args.passes} passes a side")
-    print(f"{'kind':<18} {'ops':>5} {'parent ms/op':>13} {'change ms/op':>13} {'ratio':>7}")
+    print(
+        f"{'kind':<18} {'ops':>5} {'parent ms/op':>13} {'change ms/op':>13} {'ratio':>7}"
+        f" {'parent odd/even':>16}"
+    )
     for kind, count, parent_ms, change_ms, kind_ratio in rows:
-        print(f"{kind:<18} {count:>5} {parent_ms:>13.4f} {change_ms:>13.4f} {kind_ratio:>7.3f}")
+        print(
+            f"{kind:<18} {count:>5} {parent_ms:>13.4f} {change_ms:>13.4f} {kind_ratio:>7.3f}"
+            f" {noise[kind]:>16.3f}"
+        )
     ops_per_s = {side: len(ops) / sum(best[side]) for side in SIDES}
     print(
         f"ops_per_s: parent {ops_per_s['parent']:.1f}, change {ops_per_s['change']:.1f}, "

@@ -31,61 +31,55 @@ from .geometry import _occurrence_order
 from .words import BraidWord, SignResult
 
 
+_SLIDES_PER_CROSSING = 10  # the slide cap: this * (1 + crossings of the first diagram)
+
+
 class CanonicalError(RuntimeError):
     """The slide loop contradicted an invariant; always a bug, never data."""
 
 
-def find_useful_subwords(
-    s: CuttingSequence, i: int, direction: int
-) -> list[tuple[int, tuple]]:
-    """All arcs usable for a slide, for a sequence starting _0.._i ``direction``.
+def _critical_stretch(s: CuttingSequence) -> tuple[int, int]:
+    """(i, direction): ``s`` starts _0.._i ``direction``, the critical
+    stretch being the interval (i, i+1).  The straight diagram has no arc to
+    slide along, so it raises ``ValueError``."""
+    run = initial_hole_run(s)
+    if run == len(s.letters):
+        raise ValueError("the straight diagram has no useful arc")
+    return run - 1, s.letters[run]
+
+
+def _usable_arcs(s: CuttingSequence, i: int, direction: int):
+    """The usable arcs of a sequence starting _0.._i ``direction``, lazily:
+    the puncture i's arc first, then each crossing's in sequence order, whose
+    positions are found only when asked for.
 
     An arc is (anchor position, walk), the walk as :func:`puncture_walk`
-    reads it.  The puncture i (position i) is read forward and comes first,
-    then each crossing of (i, i+1), read toward its ``direction`` arrow; a
-    read is usable when it reaches a puncture without meeting another
-    crossing of (i, i+1) on the way, the puncture it reaches is neither i+1
-    nor the far boundary point (there is no puncture to slide there), and so
-    encodes an arc back to the critical stretch.
+    reads it: the puncture forward, a crossing of (i, i+1) toward its
+    ``direction`` arrow.  It is usable when it reaches a puncture to slide
+    (neither i, i+1 nor the far boundary point) without meeting the
+    critical stretch again on the way.
     """
-    hole = _hole_subword(s, i, direction)
-    return ([] if hole is None else [hole]) + _crossing_walks(s, i, direction)
-
-
-def _hole_subword(s: CuttingSequence, i: int, direction: int) -> tuple[int, tuple] | None:
-    """The puncture i's arc, if usable, after checking that ``s`` starts
-    _0.._i ``direction`` (``ValueError`` if not)."""
     letters = s.letters
-    run = initial_hole_run(s)
-    if run != i + 1 or run >= len(letters) or letters[run] != direction:
-        arrow = "^" if direction == UP else "v"
-        raise ValueError(f"sequence does not start _0.._{i} {arrow}")
+    ends = (2 * i, 2 * i + 2, 2 * s.n + 2)
+    mid = 2 * i + 1
     walk = puncture_walk(letters, i, +1)
-    return (i, walk) if _usable(walk, i, s.n) else None
-
-
-def _crossing_walks(s: CuttingSequence, i: int, direction: int) -> list[tuple[int, tuple]]:
-    """(position, walk) of every crossing of (i, i+1) whose read toward its
-    ``direction`` arrow is usable, in sequence order."""
-    letters = s.letters
-    out = []
-    for p in _positions(letters, 2 * i + 1):
+    if walk[-1] not in ends and mid not in walk[2::2]:
+        yield i, walk
+    for p in _positions(letters, mid):
         walk = puncture_walk(letters, p, 1 if letters[p + 1] == direction else -1)
-        if _usable(walk, i, s.n):
-            out.append((p, walk))
-    return out
+        if walk[-1] not in ends and mid not in walk[2::2]:
+            yield p, walk
 
 
-def _usable(walk, i: int, n: int) -> bool:
-    """Does the walk from an anchor reach a puncture to slide, without
-    meeting the critical stretch (i, i+1) again on the way?"""
-    return walk[-1] not in (2 * i, 2 * i + 2, 2 * n + 2) and 2 * i + 1 not in walk[2::2]
+def find_useful_subwords(s: CuttingSequence) -> list[tuple[int, tuple]]:
+    """All arcs usable for a slide of the nontrivial ``s``, the puncture's
+    first: see :func:`_usable_arcs`."""
+    return list(_usable_arcs(s, *_critical_stretch(s)))
 
 
-def leftmost_useful_subword(
-    s: CuttingSequence, i: int, direction: int
-) -> tuple[int, tuple]:
-    """The arc whose anchor sits leftmost on the critical stretch.
+def leftmost_useful_subword(s: CuttingSequence) -> tuple[int, tuple]:
+    """The arc whose anchor sits leftmost on the critical stretch of the
+    nontrivial ``s``.
 
     The puncture-anchored arc, if usable, starts at the stretch's left
     endpoint and wins outright, so it is read first and the crossings are
@@ -94,14 +88,14 @@ def leftmost_useful_subword(
     candidate set contradicts the existence of a useful arc for every
     nontrivial diagram, so it raises.
     """
-    hole = _hole_subword(s, i, direction)
-    if hole is not None:
-        return hole
-    walks = _crossing_walks(s, i, direction)
-    if not walks:
+    i, direction = _critical_stretch(s)
+    arcs = _usable_arcs(s, i, direction)
+    first = next(arcs, None)
+    if first is None:
         raise CanonicalError("no useful arc found; the slide argument is violated")
+    walks = [first] if first[0] == i else [first, *arcs]  # the puncture's arc wins outright
     if len(walks) == 1:
-        return walks[0]
+        return first
     by_anchor = dict(walks)
     # s comes from the generator action, so it is reduced
     for p in _occurrence_order(s, i):
@@ -172,7 +166,7 @@ class CanonicalResult:
     iterations: int
 
 
-def canonical_form(w: BraidWord, max_iterations: int | None = None) -> CanonicalResult:
+def canonical_form(w: BraidWord) -> CanonicalResult:
     """The canonical word equal to ``w``, with its sign and the slide count.
 
     Repeatedly slides the leftmost useful arc's puncture until the diagram is
@@ -185,20 +179,18 @@ def canonical_form(w: BraidWord, max_iterations: int | None = None) -> Canonical
     """
     chi = word_to_cutseq(w)
     result_sign = sign_of(chi)
-    if max_iterations is None:
-        # a checked sequence holds exactly n + 2 holes; the rest are arrows
-        # and crossings
-        letters = chi.letters
-        crossings = len(letters) - letters.count(UP) - letters.count(DOWN) - (chi.n + 2)
-        max_iterations = 10 * (1 + crossings)
+    # a checked sequence holds exactly n + 2 holes; the rest are arrows and
+    # crossings
+    letters = chi.letters
+    crossings = len(letters) - letters.count(UP) - letters.count(DOWN) - (chi.n + 2)
+    max_iterations = _SLIDES_PER_CROSSING * (1 + crossings)
     slides: list[int] = []
     iterations = 0
     before = complexity(chi)  # each slide's result is the next one's start
     while not chi.is_trivial():
         if iterations >= max_iterations:
             raise CanonicalError(f"no convergence after {iterations} slides (a bug)")
-        run = before[0]  # the first deviating curve is the hole run's length
-        _, walk = leftmost_useful_subword(chi, run - 1, chi.letters[run])
+        _, walk = leftmost_useful_subword(chi)
         v = _slide_letters(walk)
         chi = _act_word(chi, v)
         after = complexity(chi)

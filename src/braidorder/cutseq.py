@@ -131,8 +131,8 @@ def trivial_sequence(n: int) -> CuttingSequence:
     return CuttingSequence(n, tuple(range(0, 2 * n + 3, 2)))
 
 
-def parse_sequence(text: str, n: int | None = None) -> CuttingSequence:
-    """Parse the ASCII encoding.  Without ``n``, infer it from the final hole."""
+def parse_sequence(text: str) -> CuttingSequence:
+    """Parse the ASCII encoding; the strand count is read off the final hole."""
     letters: list[int] = []
     known = dict(_TOKENS)  # a sequence repeats few distinct tokens: check each once
     for token in text.split():
@@ -155,11 +155,9 @@ def parse_sequence(text: str, n: int | None = None) -> CuttingSequence:
             k = int(digits)
             x = known[token] = 2 * k if hole else 2 * k + 1
         letters.append(x)
-    if n is None:
-        if not letters or letters[-1] < 0 or letters[-1] & 1:
-            raise InvalidSequenceError("cannot infer strand count: no final hole")
-        n = (letters[-1] >> 1) - 1
-    return CuttingSequence(n, tuple(letters))
+    if not letters or letters[-1] < 0 or letters[-1] & 1:
+        raise InvalidSequenceError("cannot infer strand count: no final hole")
+    return CuttingSequence((letters[-1] >> 1) - 1, tuple(letters))
 
 
 def format_sequence(s: CuttingSequence) -> str:
@@ -286,9 +284,10 @@ def apply_generator(s: CuttingSequence, i: int, sign: int = 1) -> CuttingSequenc
     enter (the ``CuttingSequence`` constructor, :func:`parse_sequence`,
     ``validate``, ``compare_sequences``, ``occurrence_order``).
     """
-    if not 1 <= i <= s.n - 1:
-        raise ValueError(f"generator index {i} out of range 1..{s.n - 1}")
-    if type(sign) is not int or sign not in (1, -1):  # True and 1.0 equal 1
+    # True and 1.0 equal 1, so both values' types are checked too
+    if type(i) is not int or not 1 <= i <= s.n - 1:
+        raise ValueError(f"generator index {_brief(i)} out of range 1..{s.n - 1}")
+    if type(sign) is not int or sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {_brief(sign)}")
     return _act_word(s, (i if sign > 0 else -i,))
 
@@ -399,17 +398,13 @@ def sign_of(s: CuttingSequence) -> SignResult:
     """Positivity of the braid encoded by the reduced sequence ``s``.
 
     The maximal initial run of holes _0.._k says the first k curves are
-    straight; the letter after the run is the first excursion arrow, and its
-    direction decides: up means positive, down means negative, with index k+1.
-    ``s`` must be reduced, as :func:`word_to_cutseq` makes it; this is not
-    checked again here.
+    straight; the letter after the run is the first excursion arrow (a
+    crossing there would follow a hole, which a checked sequence refuses),
+    and its direction decides: up means positive, down means negative, with
+    index k+1.  ``s`` must be reduced, as :func:`word_to_cutseq` makes it;
+    this is not checked again here.
     """
     run = initial_hole_run(s)
     if run == len(s.letters):
         return SignResult("trivial")
-    nxt = s.letters[run]
-    if nxt == UP:
-        return SignResult("positive", run)
-    if nxt == DOWN:
-        return SignResult("negative", run)
-    raise RewriteError("a number directly follows the hole run")  # unreachable
+    return SignResult("positive" if s.letters[run] == UP else "negative", run)

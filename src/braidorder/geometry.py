@@ -148,6 +148,8 @@ def occurrence_order(s: CuttingSequence, k: int) -> tuple[int, ...]:
     bytes: twice the number of arrows between its crossing and the nearest
     hole.
     """
+    if type(k) is not int:  # 1.5 would read a hole's position, True interval 1
+        raise ValueError(f"interval must be an int, got {k!r}")
     if not is_reduced(s):
         raise ValueError("input sequence must be reduced")
     return _occurrence_order(s, k)

@@ -36,6 +36,13 @@ def test_ops_per_s_ratio_is_the_inverse_ratio_of_the_time_sums():
     assert ratio == pytest.approx(16 / 12)
 
 
+def test_split_ratio_is_the_odd_rounds_over_the_even_rounds_per_kind():
+    odd = [0.001, 0.005, 0.003, 0.007, 0.002]
+    ratios = ab_inprocess.split_ratios(KINDS, odd, BEST["parent"])
+    assert list(ratios) == ["sign", "canonical", "equal"]
+    assert ratios == pytest.approx({"sign": 1.0, "canonical": 1.2, "equal": 1.0})
+
+
 def test_perturbed_copies_stay_well_formed_and_touch_only_arrows_and_crossings():
     import random
 

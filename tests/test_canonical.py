@@ -25,7 +25,6 @@ from braidorder.canonical import (
 )
 from braidorder import canonical, cutseq, geometry
 from braidorder.cutseq import (
-    DOWN,
     UP,
     _check_well_formed,
     initial_hole_run,
@@ -91,7 +90,7 @@ def hole_anchored(arc):
 def test_find_useful_subwords_on_generator_image():
     # the image of sigma_1 starts _0 ^, so the critical interval is gap 0
     s = word_to_cutseq(parse_word("1", 3))
-    subs = find_useful_subwords(s, 0, UP)
+    subs = find_useful_subwords(s)
     assert len(subs) >= 1
     assert any(hole_anchored(u) for u in subs)
 
@@ -104,7 +103,7 @@ def test_every_arc_is_the_walk_from_its_anchor(rng):
             continue
         run = initial_hole_run(s)
         i, direction = run - 1, s.letters[run]
-        for k, (p, walk) in enumerate(find_useful_subwords(s, i, direction)):
+        for k, (p, walk) in enumerate(find_useful_subwords(s)):
             # the puncture i is read forward and is listed first; a crossing
             # of (i, i+1) is read toward its direction arrow
             if hole_anchored((p, walk)):
@@ -119,34 +118,29 @@ def test_every_arc_is_the_walk_from_its_anchor(rng):
     assert arcs > 300 and crossing_arcs > 100
 
 
-def test_find_useful_subwords_checks_shape():
-    s = word_to_cutseq(parse_word("1", 3))
-    with pytest.raises(ValueError):
-        find_useful_subwords(s, 1, UP)  # initial run has length 1, not 2
-    with pytest.raises(ValueError):
-        find_useful_subwords(s, 0, DOWN)  # the arrow after the run points up
+def test_find_useful_subwords_refuses_the_straight_diagram():
+    with pytest.raises(ValueError, match="straight diagram"):
+        find_useful_subwords(trivial_sequence(3))  # no critical stretch to read
 
 
 def test_leftmost_useful_subword_prefers_the_puncture_read():
     s = word_to_cutseq(parse_word("1", 3))
-    u = leftmost_useful_subword(s, 0, UP)
+    u = leftmost_useful_subword(s)
     assert hole_anchored(u)
     # from the puncture 0 at position 0 over the top to the puncture 2
     assert u == (0, (0, UP, 4))
 
 
-def test_leftmost_useful_subword_checks_shape():
-    s = word_to_cutseq(parse_word("1", 3))
-    with pytest.raises(ValueError):
-        leftmost_useful_subword(s, 1, UP)
-    with pytest.raises(ValueError):
-        leftmost_useful_subword(s, 0, DOWN)
+def test_leftmost_useful_subword_refuses_the_straight_diagram():
+    with pytest.raises(ValueError, match="straight diagram"):
+        leftmost_useful_subword(trivial_sequence(3))
 
 
-def reference_leftmost_useful_subword(s, i, direction):
+def reference_leftmost_useful_subword(s):
     """Every arc read, then the puncture's arc or the crossing first in
     real-line order."""
-    candidates = find_useful_subwords(s, i, direction)
+    i = initial_hole_run(s) - 1  # the critical stretch is (i, i+1)
+    candidates = find_useful_subwords(s)
     for u in candidates:
         if hole_anchored(u):
             return u
@@ -161,9 +155,8 @@ def test_leftmost_useful_subword_matches_the_read_everything_reference(rng):
         s = word_to_cutseq(random_word(rng, n, max_len=14))
         if s.is_trivial():
             continue
-        run = initial_hole_run(s)
-        u = leftmost_useful_subword(s, run - 1, s.letters[run])
-        assert u == reference_leftmost_useful_subword(s, run - 1, s.letters[run])
+        u = leftmost_useful_subword(s)
+        assert u == reference_leftmost_useful_subword(s)
         crossing_wins += not hole_anchored(u)
     assert crossing_wins > 20
 
@@ -231,9 +224,10 @@ def test_canonical_respects_order_against_identity(rng):
             assert c is Ordering.LESS
 
 
-def test_iteration_cap_raises_cleanly():
-    with pytest.raises(CanonicalError):
-        canonical_form(parse_word("1 2 -1 -2 1 2", 3), max_iterations=1)
+def test_iteration_cap_raises_cleanly(monkeypatch):
+    monkeypatch.setattr(canonical, "_SLIDES_PER_CROSSING", 0)  # a cap of no slides
+    with pytest.raises(CanonicalError, match="no convergence after 0 slides"):
+        canonical_form(parse_word("1 2 -1 -2 1 2", 3))
 
 
 def test_canonical_form_checks_each_generator_result_once(monkeypatch, rng):
@@ -267,11 +261,10 @@ def test_leftmost_useful_subword_matches_the_reference_where_one_arc_is_usable()
         if s.is_trivial():
             continue
         diagrams += 1
-        run = initial_hole_run(s)
-        i, direction = run - 1, s.letters[run]
-        u = leftmost_useful_subword(s, i, direction)
-        assert u == reference_leftmost_useful_subword(s, i, direction)
-        candidates = find_useful_subwords(s, i, direction)
+        i = initial_hole_run(s) - 1
+        u = leftmost_useful_subword(s)
+        assert u == reference_leftmost_useful_subword(s)
+        candidates = find_useful_subwords(s)
         lone_arcs += (
             not hole_anchored(candidates[0])
             and len(candidates) == 1

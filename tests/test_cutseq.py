@@ -47,20 +47,20 @@ def test_parse_format_round_trip():
 
 def test_parse_infers_strands():
     assert parse_sequence("_0 _1 _2 _3").n == 2
-    assert parse_sequence("_0 ^ _2 _1 v _3", n=2).n == 2
+    assert parse_sequence("_0 ^ _2 _1 v _3").n == 2
 
 
 def test_parse_rejects_malformed():
     with pytest.raises(InvalidSequenceError):
         parse_sequence("_0 _1")  # infers n=0, below the minimum
     with pytest.raises(InvalidSequenceError):
-        parse_sequence("_0 _2 _1 _3", n=2)  # non-adjacent holes need an arrow
+        parse_sequence("_0 _2 _1 _3")  # non-adjacent holes need an arrow
     with pytest.raises(InvalidSequenceError):
-        parse_sequence("_0 ^ ^ _1 _2 _3", n=2)  # adjacent arrows
+        parse_sequence("_0 ^ ^ _1 _2 _3")  # adjacent arrows
     with pytest.raises(InvalidSequenceError):
-        parse_sequence("_0 _1 _1 _2 _3", n=2)  # duplicate hole
+        parse_sequence("_0 _1 _1 _2 _3")  # duplicate hole
     with pytest.raises(InvalidSequenceError):
-        parse_sequence("_1 _0 _2 _3", n=2)  # must start at the left boundary
+        parse_sequence("_1 _0 _2 _3")  # must start at the left boundary
 
 
 def test_strand_count_is_bounded():
@@ -86,6 +86,14 @@ def test_apply_generator_takes_only_the_int_signs(bad):
     # True and 1.0 equal 1, so a membership test alone lets them through
     with pytest.raises(ValueError, match="sign must be"):
         apply_generator(trivial_sequence(3), 1, bad)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, 1.5])
+def test_apply_generator_takes_only_an_int_index(bad):
+    # True and 1.0 equal 1 and acted as generator 1; 1.0 then broke the
+    # sequence with a float letter, and 1.5 failed inside the rewrite
+    with pytest.raises(ValueError, match=f"generator index {bad!r} out of range"):
+        apply_generator(trivial_sequence(3), bad)
 
 
 @pytest.mark.parametrize(
@@ -160,7 +168,7 @@ def test_parse_refuses_negative_crossing_token():
 
 def test_parse_refuses_negative_puncture_token():
     with pytest.raises(InvalidSequenceError, match="bad token"):
-        parse_sequence("_0 _-1 _1 _2 _3", n=2)
+        parse_sequence("_0 _-1 _1 _2 _3")
 
 
 def test_parse_refuses_a_plus_sign():

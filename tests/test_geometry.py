@@ -159,6 +159,15 @@ def test_occurrence_positions_in_squared_generator():
     assert occurrence_order(s, 0) == (7,)
 
 
+@pytest.mark.parametrize("bad", [1.5, 0.5, True, 1.0])
+def test_occurrence_order_takes_only_an_int_interval(bad):
+    # 1.5 and 0.5 would read the positions of the holes _2 and _1 as
+    # crossings; True and 1.0 would act as interval 1
+    s = word_to_cutseq(parse_word("1 1 2 -1 2 2", 4))
+    with pytest.raises(ValueError, match=f"interval must be an int, got {bad!r}"):
+        occurrence_order(s, bad)
+
+
 def _arcs_cross(coords, letters):
     upper, lower = [], []
     for p in range(1, len(letters) - 1):

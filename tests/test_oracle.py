@@ -42,13 +42,12 @@ def _reference_basic_image(g, k):
     return (k,)
 
 
-def _reference_substitute(g, word):
+def _reference_substitute(table, word):
+    """``word`` with every symbol rewritten through ``table`` (a symbol
+    not in it is its own image), freely reduced."""
     out = []
     for x in word:
-        img = _reference_basic_image(g, abs(x))
-        if x < 0:
-            img = tuple(-y for y in reversed(img))
-        for y in img:
+        for y in table.get(x, (x,)):
             if out and out[-1] == -y:
                 out.pop()
             else:
@@ -60,7 +59,13 @@ def reference_artin_action(w):
     """Every image rewritten symbol by symbol for every letter."""
     images = [(j,) for j in range(1, w.n + 1)]
     for g in w.letters:
-        images = [_reference_substitute(g, img) for img in images]
+        # only x_|g| and x_|g|+1 move, and an inverse's image is the
+        # image's inverse
+        table = {}
+        for k in (abs(g), abs(g) + 1):
+            img = _reference_basic_image(g, k)
+            table[k], table[-k] = img, tuple(-y for y in reversed(img))
+        images = [_reference_substitute(table, img) for img in images]
     return ArtinAutomorphism(w.n, tuple(images))
 
 
