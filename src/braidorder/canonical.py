@@ -25,7 +25,6 @@ from .cutseq import (
     initial_hole_run,
     puncture_walk,
     word_to_cutseq,
-    sign_of,
 )
 from .geometry import _occurrence_order
 from .words import BraidWord, SignResult
@@ -117,9 +116,9 @@ def _slide_letters(walk) -> list[int]:
     crossing above it shifts down one value, the arc is read back from c (as
     the crossing below it) to the anchor (as a crossing of its own value) and
     reduced (where the sequence rules only collapse same-direction excursions
-    and merge equal neighbors), and each remaining excursion becomes a run of
-    generators: ascending upper runs are positive, their mirrors inverse, per
-    the four-case table below.
+    and merge equal neighbors), and each remaining excursion from a to b
+    becomes the run of generators between them: positive when it ascends
+    above the line or descends below it, inverse in the mirror cases.
     """
     c = walk[-1]
     fragment = _reduce_letters(
@@ -128,14 +127,8 @@ def _slide_letters(walk) -> list[int]:
     letters: list[int] = []
     for j in range(1, len(fragment), 2):
         a, arrow, b = fragment[j - 1] >> 1, fragment[j], fragment[j + 1] >> 1
-        if arrow == UP and a < b:
-            letters.extend(range(a + 1, b + 1))
-        elif arrow == UP:
-            letters.extend(-k for k in range(a, b, -1))
-        elif a < b:
-            letters.extend(-k for k in range(a + 1, b + 1))
-        else:
-            letters.extend(range(a, b, -1))
+        run = range(a + 1, b + 1) if a < b else range(a, b, -1)
+        letters.extend(run if (arrow == UP) == (a < b) else (-k for k in run))
     if not letters:
         raise CanonicalError("slide word came out empty")
     return letters
@@ -178,7 +171,6 @@ def canonical_form(w: BraidWord) -> CanonicalResult:
     guard is a bug worth reporting, not an expected outcome.
     """
     chi = word_to_cutseq(w)
-    result_sign = sign_of(chi)
     # a checked sequence holds exactly n + 2 holes; the rest are arrows and
     # crossings
     letters = chi.letters
@@ -187,6 +179,12 @@ def canonical_form(w: BraidWord) -> CanonicalResult:
     slides: list[int] = []
     iterations = 0
     before = complexity(chi)  # each slide's result is the next one's start
+    j = before[0]  # the sign: the arrow after _0.._{j-1}, as cutseq.sign_of reads it
+    result_sign = (
+        SignResult("trivial")
+        if chi.is_trivial()
+        else SignResult("positive" if letters[j] == UP else "negative", j)
+    )
     while not chi.is_trivial():
         if iterations >= max_iterations:
             raise CanonicalError(f"no convergence after {iterations} slides (a bug)")

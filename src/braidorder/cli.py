@@ -16,18 +16,18 @@ from .cutseq import (
 )
 from .geometry import AmbiguityError, validate
 from .order import Ordering, braid_equal, compare, sign
-from .words import WordError, format_word, parse_letters, parse_word
+from .words import BraidWord, WordError, format_word, parse_letters, parse_word
 
 
-def _parse(text: str, n: int | None, *context: str):
-    """The word of ``text``; without ``n``, on as many strands as the largest
-    index in ``text`` and the ``context`` texts needs."""
-    try:
-        if n is None:
-            n = max([2] + [abs(k) + 1 for t in (text, *context) for k in parse_letters(t)])
-        return parse_word(text, n)
-    except WordError as exc:
-        raise click.ClickException(str(exc)) from exc
+def _words(n: int | None, *texts: str) -> list[BraidWord]:
+    """The words of ``texts``, each parsed once; without ``n``, on as many
+    strands as the largest index in them needs.  With ``n`` each text is
+    checked in full before the next, so the first faulty one is reported."""
+    if n is not None:
+        return [parse_word(text, n) for text in texts]
+    letters = [parse_letters(text) for text in texts]
+    n = max([2] + [abs(k) + 1 for word in letters for k in word])
+    return [BraidWord(n, word) for word in letters]
 
 
 def _emit(as_json: bool, data: dict, text: str) -> None:
@@ -45,11 +45,14 @@ word_args = {"ignore_unknown_options": True}
 
 
 class _Group(click.Group):
-    """Reports an error that only a bug can raise in one line, exit code 3."""
+    """The one map from errors to exit codes: bad input exits 1 with click's
+    one-line message, and an error that only a bug can raise exits 3."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except (WordError, InvalidSequenceError) as exc:
+            raise click.ClickException(str(exc)) from exc
         except (RewriteError, CanonicalError, AmbiguityError) as exc:
             click.echo(f"internal error (a bug): {exc}", err=True)
             ctx.exit(3)
@@ -70,7 +73,7 @@ def main():
 @json_option
 def sign_cmd(word, strands, as_json):
     """Whether WORD is a positive, negative, or trivial braid."""
-    res = sign(_parse(word, strands))
+    res = sign(*_words(strands, word))
     _emit(as_json, {"kind": res.kind, "index": res.index}, str(res))
 
 
@@ -81,8 +84,8 @@ def sign_cmd(word, strands, as_json):
 @json_option
 def compare_cmd(left, right, strands, as_json):
     """Order LEFT against RIGHT: prints <, =, or >."""
-    a, b = _parse(left, strands, right), _parse(right, strands, left)
-    out = {Ordering.LESS: "<", Ordering.EQUAL: "=", Ordering.GREATER: ">"}[compare(a, b)]
+    order = compare(*_words(strands, left, right))
+    out = {Ordering.LESS: "<", Ordering.EQUAL: "=", Ordering.GREATER: ">"}[order]
     _emit(as_json, {"order": out}, out)
 
 
@@ -92,7 +95,7 @@ def compare_cmd(left, right, strands, as_json):
 @json_option
 def canonical_cmd(word, strands, as_json):
     """The canonical form of WORD."""
-    res = canonical_form(_parse(word, strands))
+    res = canonical_form(*_words(strands, word))
     text = format_word(res.word)
     data = {
         "word": text,
@@ -109,7 +112,7 @@ def canonical_cmd(word, strands, as_json):
 @json_option
 def cutseq_cmd(word, strands, as_json):
     """The reduced cutting sequence of WORD's curve diagram."""
-    seq = word_to_cutseq(_parse(word, strands))
+    seq = word_to_cutseq(*_words(strands, word))
     text = format_sequence(seq)
     _emit(as_json, {"sequence": text, "strands": seq.n}, text)
 
@@ -119,11 +122,7 @@ def cutseq_cmd(word, strands, as_json):
 @json_option
 def validate_cmd(sequence, as_json):
     """Whether SEQUENCE is realized by an actual curve diagram."""
-    try:
-        seq = parse_sequence(sequence)
-    except InvalidSequenceError as exc:
-        raise click.ClickException(str(exc)) from exc
-    res = validate(seq)
+    res = validate(parse_sequence(sequence))
     text = "valid" if res.ok else f"invalid: {res.reason}"
     _emit(as_json, {"valid": res.ok, "reason": res.reason}, text)
 
@@ -141,5 +140,5 @@ def equal_cmd(left, right, strands, as_json):
     unchanged, that is LEFT and RIGHT have the same coordinates.  This
     takes time quadratic in the word lengths.
     """
-    res = braid_equal(_parse(left, strands, right), _parse(right, strands, left))
+    res = braid_equal(*_words(strands, left, right))
     _emit(as_json, {"equal": res}, "true" if res else "false")

@@ -276,19 +276,15 @@ def is_reduced(s: CuttingSequence) -> bool:
 def apply_generator(s: CuttingSequence, i: int, sign: int = 1) -> CuttingSequence:
     """The reduced sequence of the braid of ``s`` multiplied by generator
     ``i`` (``sign`` +1) or its inverse (``sign`` -1): the word action of
-    one letter.
-
-    ``s`` must be reduced, and this is not checked again here: pass a
-    sequence made by :func:`trivial_sequence` or by this function, or reduce
-    one from outside first.  Sequences from outside are checked where they
-    enter (the ``CuttingSequence`` constructor, :func:`parse_sequence`,
-    ``validate``, ``compare_sequences``, ``occurrence_order``).
+    one letter.  An unreduced ``s`` raises ``InvalidSequenceError``.
     """
     # True and 1.0 equal 1, so both values' types are checked too
     if type(i) is not int or not 1 <= i <= s.n - 1:
         raise ValueError(f"generator index {_brief(i)} out of range 1..{s.n - 1}")
     if type(sign) is not int or sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {_brief(sign)}")
+    if not is_reduced(s):
+        raise InvalidSequenceError("input sequence must be reduced")
     return _act_word(s, (i if sign > 0 else -i,))
 
 
@@ -331,6 +327,10 @@ def _rewrite(letters: tuple[int, ...], i: int, positive: bool) -> tuple[list[int
     # the holes i and i+1, the crossings of (i-1, i), (i, i+1) and (i+1, i+2)
     low, high = 2 * i, 2 * i + 2
     below, mid, above = 2 * i - 1, 2 * i + 1, 2 * i + 3
+    # the half turn swaps the values of the holes i and i+1, and their detours
+    # are mirror images: (new value, arrow toward the other hole, the crossing
+    # beside the hole away from the other, arrow back, the next hole that way)
+    from_low, from_high = (high, down, below, up, low - 2), (low, up, above, down, high + 2)
     # only the two holes (once each) and the crossings of (i, i+1) change;
     # the runs between them are copied whole
     spots = sorted([letters.index(low), letters.index(high), *_positions(letters, mid)])
@@ -343,28 +343,17 @@ def _rewrite(letters: tuple[int, ...], i: int, positive: bool) -> tuple[list[int
         # never first or last: the first letter is _0 (i >= 1) and the last
         # is _{n+1} (i <= n-1), so both neighbors exist
         left, right = letters[pos - 1], letters[pos + 1]
-        if x == low:
-            # detours around the hole that changes value i -> i+1
-            if left == down:
-                out += [below, up]
-            elif left == low - 2:
-                out.append(up)
-            out.append(high)
-            if right == down:
-                out += [up, below]
-            elif right == low - 2:
-                out.append(up)
-        elif x == high:
-            # detours around the hole that changes value i+1 -> i
-            if left == up:
-                out += [above, down]
-            elif left == high + 2:
-                out.append(down)
-            out.append(low)
-            if right == up:
-                out += [down, above]
-            elif right == high + 2:
-                out.append(down)
+        if x != mid:
+            new, toward, detour, back, near = from_low if x == low else from_high
+            if left == toward:
+                out += [detour, back]
+            elif left == near:
+                out.append(back)
+            out.append(new)
+            if right == toward:
+                out += [back, detour]
+            elif right == near:
+                out.append(back)
         elif left == down and right == up:
             out += [below, up, mid, down, above]
         elif left == up and right == down:
@@ -401,9 +390,10 @@ def sign_of(s: CuttingSequence) -> SignResult:
     straight; the letter after the run is the first excursion arrow (a
     crossing there would follow a hole, which a checked sequence refuses),
     and its direction decides: up means positive, down means negative, with
-    index k+1.  ``s`` must be reduced, as :func:`word_to_cutseq` makes it;
-    this is not checked again here.
+    index k+1.  An unreduced ``s`` raises ``InvalidSequenceError``.
     """
+    if not is_reduced(s):
+        raise InvalidSequenceError("input sequence must be reduced")
     run = initial_hole_run(s)
     if run == len(s.letters):
         return SignResult("trivial")

@@ -178,6 +178,15 @@ def test_letters_int_would_read_differently_exit_1():
     assert "not an integer letter" in r.stderr
 
 
+def test_compare_reports_the_first_fault_in_text_order():
+    # with -n the left text is checked in full before the right one is
+    # read; without it both texts' letters are read to infer the count
+    r = run("compare", "-n", "2", "3", "x")
+    assert (r.exit_code, r.stderr) == (1, "Error: letter 3 out of range for 2 strands\n")
+    r = run("compare", "3", "x")
+    assert (r.exit_code, r.stderr) == (1, "Error: not an integer letter: 'x'\n")
+
+
 def test_overlong_digit_runs_exit_1_without_traceback():
     # past 4,300 digits int() raises a plain ValueError
     digits = "1" * 5_000

@@ -421,6 +421,47 @@ def test_sign_of_sequences():
     assert str(sign_of(seq_of("-2 1 2", 3))) == "positive i=1"
 
 
+@pytest.mark.parametrize("text", ["_0 ^ _1 _2 _3 ^ _4", "_0 _1 ^ 1 ^ _2 _3"])
+def test_an_unreduced_sequence_from_outside_is_refused(text):
+    # both reduce to the trivial sequence; unchecked, the first read as
+    # "positive i=1" and acted on into another unreduced sequence, and the
+    # second broke the generator action (RewriteError)
+    s = parse_sequence(text)
+    with pytest.raises(InvalidSequenceError, match="must be reduced"):
+        sign_of(s)
+    with pytest.raises(InvalidSequenceError, match="must be reduced"):
+        apply_generator(s, s.n - 1, 1)
+    with pytest.raises(ValueError, match="generator index"):  # checked first
+        apply_generator(s, s.n, 1)
+
+
+def with_a_reducible_window(rng, letters, n):
+    """``letters`` with one window of a reduction rule put in: an arrow
+    made a collapse (v k v), a crossing a merge (k ^ k), or an arrow put
+    between two holes of adjacent values (straighten)."""
+    spots = [(p, x) for p, x in enumerate(letters) if x < 0 or x & 1]
+    # two adjacent numbers are holes of adjacent values
+    spots += [(p, None) for p in range(1, len(letters)) if min(letters[p - 1 : p + 1]) >= 0]
+    p, x = rng.choice(spots)
+    if x is None:
+        return letters[:p] + (rng.choice((UP, DOWN)),) + letters[p:]
+    arrow_or_crossing = 2 * rng.randint(0, n) + 1 if x < 0 else rng.choice((UP, DOWN))
+    return letters[:p] + (x, arrow_or_crossing, x) + letters[p + 1 :]
+
+
+def test_seeded_unreduced_sequences_are_refused():
+    rng = random.Random(3)
+    for _ in range(400):
+        n = rng.randint(2, 5)
+        s = word_to_cutseq(random_word(rng, n, max_len=6))
+        t = CuttingSequence(n, with_a_reducible_window(rng, s.letters, n))
+        assert not is_reduced(t) and reduce_sequence(t) == s
+        with pytest.raises(InvalidSequenceError, match="must be reduced"):
+            sign_of(t)
+        with pytest.raises(InvalidSequenceError, match="must be reduced"):
+            apply_generator(t, rng.randint(1, n - 1), rng.choice((1, -1)))
+
+
 def test_hole_and_gap_letters_print_distinctly():
     assert format_sequence(seq_of("1 1", 3)).count("_") == 5
     letters = seq_of("1 1", 3).letters
