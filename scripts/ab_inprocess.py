@@ -24,7 +24,11 @@ Both sides also take ``validate`` (verdict and reason) and the
 ``occurrence_order`` of every interval of each word's sequence and of a
 perturbed copy, with one to three arrows flipped or crossing values
 changed, so that rejections are exercised too.  Every result must be the
-same on both sides.
+same on both sides.  For each differing sequence it prints what each side
+gave: the verdict and reason of ``validate``, or the order or error of the
+first interval that differs; then how many differing sequences differ in
+each way, so a deliberate difference (an error renamed, say) can be told
+from the output alone.
 
 It prints, for each operation kind, the milliseconds per operation on each
 side (the mean of the best times), the change/parent ratio, and the
@@ -38,6 +42,7 @@ answer.  Standard library only; ``bench/`` is read, never written.
 from __future__ import annotations
 
 import argparse
+import collections
 import gc
 import importlib
 import importlib.util
@@ -124,6 +129,26 @@ def geometry_outcome(lib: dict, s) -> tuple:
     return v.ok, v.reason, tuple(orders)
 
 
+def difference(parent: tuple, change: tuple) -> tuple[str, str]:
+    """``(kind, detail)`` of two differing :func:`geometry_outcome` results.
+
+    ``detail`` gives each side's ``validate`` verdict and reason when they
+    differ, else the order or error of the first interval that differs.
+    ``kind`` is "validate", "error type" when every differing interval is
+    an error on both sides with the same message (then naming the types),
+    or "occurrence_order"."""
+    if parent[:2] != change[:2]:
+        return "validate", f"validate: parent {parent[:2]}, change {change[:2]}"
+    pairs = [(k, a, b) for k, (a, b) in enumerate(zip(parent[2], change[2])) if a != b]
+    k, a, b = pairs[0]
+    detail = f"interval {k}: parent {a}, change {b}"
+    # an error is (type name, message); an order is a tuple of positions
+    if all(x and isinstance(x[0], str) and y and isinstance(y[0], str) and x[1] == y[1]
+           for _, x, y in pairs):
+        return f"error type {a[0]} -> {b[0]}, same message", detail
+    return "occurrence_order", detail
+
+
 def sequence_order(lib: dict, s, t):
     """``compare_sequences(s, t)``'s value, or its error's type and
     message."""
@@ -139,7 +164,8 @@ def agreement(libs: dict[str, dict], seed: int, count: int = AGREEMENT_WORDS):
     or ``braid_equal`` against its partner, or ``compare_sequences`` of the
     two words' sequences, as text; then the sequences,
     each word's and its perturbed copy, on which :func:`geometry_outcome`
-    differs, as text; then how many sequences were checked and how many
+    differs, each as ``(text, kind)`` with the sides' outcomes in the text
+    (:func:`difference`); then how many sequences were checked and how many
     ``validate`` rejected."""
     rng = random.Random(seed)
     differ, differ_sequences = [], []
@@ -172,11 +198,12 @@ def agreement(libs: dict[str, dict], seed: int, count: int = AGREEMENT_WORDS):
             checks.append([(x, geometry_outcome(lib, x)) for x in (s, copy)])
         if seen[0] != seen[1]:
             differ.append(f"n={n}: {' '.join(map(str, letters))} vs {' '.join(map(str, other))}")
-        for (s, mine), (_, theirs) in zip(*checks):
+        for (s, parent), (_, change) in zip(*checks):
             checked += 1
-            rejected += not mine[0]
-            if mine != theirs:
-                differ_sequences.append(f"n={n}: {s}")
+            rejected += not parent[0]
+            if parent != change:
+                kind, detail = difference(parent, change)
+                differ_sequences.append((f"n={n}: {s}\n    {detail}", kind))
     return differ, differ_sequences, checked, rejected
 
 
@@ -230,8 +257,10 @@ def main() -> int:
         f"validate and occurrence_order: {checked - len(differ_sequences)} of {checked} "
         f"sequences alike, {rejected} of them rejected"
     )
-    for text in differ_sequences[:10]:
+    for text, _ in differ_sequences[:10]:
         print(f"  differs: {text}")
+    for kind, count in collections.Counter(kind for _, kind in differ_sequences).items():
+        print(f"  {count} differ by {kind}")
 
     corpora = {
         side: run.corpus.build(

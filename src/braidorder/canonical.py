@@ -22,6 +22,7 @@ from .cutseq import (
     _act_word,
     _positions,
     _reduce_letters,
+    _run_sign,
     initial_hole_run,
     puncture_walk,
     word_to_cutseq,
@@ -179,12 +180,7 @@ def canonical_form(w: BraidWord) -> CanonicalResult:
     slides: list[int] = []
     iterations = 0
     before = complexity(chi)  # each slide's result is the next one's start
-    j = before[0]  # the sign: the arrow after _0.._{j-1}, as cutseq.sign_of reads it
-    result_sign = (
-        SignResult("trivial")
-        if chi.is_trivial()
-        else SignResult("positive" if letters[j] == UP else "negative", j)
-    )
+    result_sign = _run_sign(letters, before[0])  # j = n + 2 = len(letters) when straight
     while not chi.is_trivial():
         if iterations >= max_iterations:
             raise CanonicalError(f"no convergence after {iterations} slides (a bug)")

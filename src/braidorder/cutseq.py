@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .words import MAX_STRANDS, BraidWord, SignResult, _brief, _quoted, free_reduce
+from .words import MAX_STRANDS, BraidWord, SignResult, _brief, _check_strands, _quoted, free_reduce
 
 UP = -1
 DOWN = -2
@@ -45,13 +45,6 @@ class RewriteError(RuntimeError):
     """The generator action produced a malformed sequence: an internal bug."""
 
 
-def _check_strands(n: int) -> None:
-    if type(n) is not int:  # a bool or a float would slip past the range
-        raise InvalidSequenceError(f"not an integer strand count: {_brief(n)}")
-    if not 2 <= n <= MAX_STRANDS:
-        raise InvalidSequenceError(f"strand count {_brief(n)} out of range 2..{MAX_STRANDS}")
-
-
 def _check_well_formed(n: int, letters) -> None:
     """Enforce the three structural conditions: endpoints, unique punctures,
     alternation of numbers and arrows (with value-adjacent hole pairs allowed).
@@ -62,7 +55,7 @@ def _check_well_formed(n: int, letters) -> None:
     each condition in turn would: endpoints, letters, missing holes,
     adjacency.
     """
-    _check_strands(n)
+    _check_strands(n, InvalidSequenceError)
     top = 2 * n + 2
     if not letters or letters[0] != 0:
         raise InvalidSequenceError("sequence must start with _0")
@@ -127,7 +120,7 @@ class CuttingSequence:
 
 def trivial_sequence(n: int) -> CuttingSequence:
     """The sequence of the identity braid: _0 _1 ... _{n+1}."""
-    _check_strands(n)
+    _check_strands(n, InvalidSequenceError)
     return CuttingSequence(n, tuple(range(0, 2 * n + 3, 2)))
 
 
@@ -260,6 +253,12 @@ def is_reduced(s: CuttingSequence) -> bool:
     return True
 
 
+def _require_reduced(*seqs: CuttingSequence) -> None:
+    """The one refusal of an unreduced input, wherever a reduced one is needed."""
+    if not all(map(is_reduced, seqs)):
+        raise InvalidSequenceError("input sequence must be reduced")
+
+
 # --- generator action -------------------------------------------------------
 #
 # Acting with the generator i swaps the punctures i and i+1 by a half turn.
@@ -283,8 +282,7 @@ def apply_generator(s: CuttingSequence, i: int, sign: int = 1) -> CuttingSequenc
         raise ValueError(f"generator index {_brief(i)} out of range 1..{s.n - 1}")
     if type(sign) is not int or sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {_brief(sign)}")
-    if not is_reduced(s):
-        raise InvalidSequenceError("input sequence must be reduced")
+    _require_reduced(s)
     return _act_word(s, (i if sign > 0 else -i,))
 
 
@@ -292,6 +290,8 @@ def _act_word(s: CuttingSequence, word) -> CuttingSequence:
     """``s`` (reduced) acted on by the signed generators of ``word`` in
     turn: :func:`apply_generator` letter by letter, with plain letter tuples
     between the letters and one ``CuttingSequence``, the last result.
+    Indices are checked where words enter (``BraidWord``,
+    :func:`apply_generator`); a slide's runs lie between diagram values.
     Every result is reduced and checked once, the last by the constructor,
     the others by :func:`_check_well_formed`; a failed check is the rewrite
     table's bug and raises ``RewriteError``."""
@@ -299,10 +299,7 @@ def _act_word(s: CuttingSequence, word) -> CuttingSequence:
     letters = s.letters
     last = len(word) - 1
     for j, k in enumerate(word):
-        i = k if k > 0 else -k
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"generator index {i} out of range 1..{n - 1}")
-        out, start = _rewrite(letters, i, k > 0)
+        out, start = _rewrite(letters, k if k > 0 else -k, k > 0)
         try:
             # The check covers the reduced result, which is what is kept; a
             # malformation that reduction removes (a crossing absorbed into a
@@ -392,9 +389,12 @@ def sign_of(s: CuttingSequence) -> SignResult:
     and its direction decides: up means positive, down means negative, with
     index k+1.  An unreduced ``s`` raises ``InvalidSequenceError``.
     """
-    if not is_reduced(s):
-        raise InvalidSequenceError("input sequence must be reduced")
-    run = initial_hole_run(s)
-    if run == len(s.letters):
+    _require_reduced(s)
+    return _run_sign(s.letters, initial_hole_run(s))
+
+
+def _run_sign(letters, run: int) -> SignResult:
+    """The sign read off the arrow after the leading holes _0.._{run-1}, if any."""
+    if run == len(letters):
         return SignResult("trivial")
-    return SignResult("positive" if s.letters[run] == UP else "negative", run)
+    return SignResult("positive" if letters[run] == UP else "negative", run)

@@ -16,7 +16,7 @@ import dataclasses
 import itertools
 import struct
 
-from .cutseq import DOWN, UP, CuttingSequence, _positions, is_reduced
+from .cutseq import DOWN, UP, CuttingSequence, _positions, _require_reduced, is_reduced
 
 # A walk key is packed as big-endian unsigned 2-byte entries, so keys compare
 # as bytes (memcmp) exactly as the entry lists would, prefixes included.  An
@@ -150,8 +150,7 @@ def occurrence_order(s: CuttingSequence, k: int) -> tuple[int, ...]:
     """
     if type(k) is not int:  # 1.5 would read a hole's position, True interval 1
         raise ValueError(f"interval must be an int, got {k!r}")
-    if not is_reduced(s):
-        raise ValueError("input sequence must be reduced")
+    _require_reduced(s)
     return _occurrence_order(s, k)
 
 

@@ -41,7 +41,7 @@ from .cutseq import (
     InvalidSequenceError,
     RewriteError,
     _reduce_letters,
-    is_reduced,
+    _require_reduced,
     puncture_walk,
 )
 from .geometry import AmbiguityError
@@ -214,8 +214,7 @@ def compare_sequences(s: CuttingSequence, t: CuttingSequence) -> Ordering:
     """
     if s.n != t.n:
         raise InvalidSequenceError(f"strand count mismatch: {s.n} vs {t.n}")
-    if not is_reduced(s) or not is_reduced(t):
-        raise InvalidSequenceError("input sequences must be reduced")
+    _require_reduced(s, t)
     if s.letters == t.letters:
         return Ordering.EQUAL
     common = 0

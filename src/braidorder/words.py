@@ -21,6 +21,14 @@ class WordError(ValueError):
     """A braid word, or its textual form, is malformed."""
 
 
+def _check_strands(n, error: type[ValueError]) -> None:
+    """Refuse a strand count that is not an int in 2..MAX_STRANDS, raising ``error``."""
+    if type(n) is not int:  # a bool or a float would slip past the range
+        raise error(f"not an integer strand count: {_brief(n)}")
+    if not 2 <= n <= MAX_STRANDS:
+        raise error(f"strand count {_brief(n)} out of range 2..{MAX_STRANDS}")
+
+
 @dataclasses.dataclass(frozen=True)
 class BraidWord:
     """A word in the twist generators of the braid group on ``n`` strands."""
@@ -29,10 +37,7 @@ class BraidWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if type(self.n) is not int:  # a bool or a float would slip past the range
-            raise WordError(f"not an integer strand count: {_brief(self.n)}")
-        if not 2 <= self.n <= MAX_STRANDS:
-            raise WordError(f"strand count {_brief(self.n)} out of range 2..{MAX_STRANDS}")
+        _check_strands(self.n, WordError)
         letters = tuple(self.letters)
         top = self.n - 1
         # a plain loop: screening with set(map(type, ...)), min and max

@@ -1,11 +1,14 @@
-"""Shared test helpers: seeded word sampling and identity-preserving rewrites."""
+"""Shared test helpers: seeded word sampling, identity-preserving rewrites,
+and the letter objects the reference implementations read."""
 
+import dataclasses
+import itertools
 import random
 
 import pytest
 
 from braidorder import BraidWord, CuttingSequence
-from braidorder.cutseq import _reduce_letters, apply_generator, trivial_sequence
+from braidorder.cutseq import DOWN, UP, _reduce_letters, apply_generator, trivial_sequence
 
 
 # Strand-count ranges of the seeded law tests: the small regime first (its
@@ -83,6 +86,65 @@ def act_letters(w):
     for k in w.letters:
         s = apply_generator(s, abs(k), 1 if k > 0 else -1)
     return s
+
+
+@dataclasses.dataclass(frozen=True)
+class Hole:
+    k: int
+
+
+@dataclasses.dataclass(frozen=True)
+class Gap:
+    k: int
+
+
+@dataclasses.dataclass(frozen=True)
+class Stripped:
+    k: int
+
+
+def as_objects(letters):
+    """Puncture 2k -> Hole(k), crossing 2k+1 -> Gap(k), stripped puncture
+    ~2k -> Stripped(k); arrows stay."""
+    out = []
+    for x in letters:
+        if x == UP or x == DOWN:
+            out.append(x)
+        elif x < 0:
+            out.append(Stripped(~x >> 1))
+        else:
+            out.append((Gap if x & 1 else Hole)(x >> 1))
+    return out
+
+
+def as_ints(objects):
+    """The library's ints of the letter objects: :func:`as_objects` undone."""
+    out = []
+    for x in objects:
+        if isinstance(x, int):
+            out.append(x)
+        elif isinstance(x, Stripped):
+            out.append(~(2 * x.k))
+        else:
+            out.append(2 * x.k + isinstance(x, Gap))
+    return out
+
+
+def arcs_cross(coords, letters):
+    """Do two arcs on one side cross?  An arc joins the coordinates
+    ``coords[p - 1]`` and ``coords[p + 1]`` around the arrow at p."""
+    upper, lower = [], []
+    for p in range(1, len(letters) - 1):
+        x = letters[p]
+        if not (x == UP or x == DOWN):
+            continue
+        ends = sorted((coords[p - 1], coords[p + 1]))
+        (upper if x == UP else lower).append(ends)
+    for side in (upper, lower):
+        for (a, b), (c, d) in itertools.combinations(side, 2):
+            if a < c < b < d or c < a < d < b:
+                return True
+    return False
 
 
 @pytest.fixture

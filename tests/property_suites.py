@@ -24,6 +24,7 @@ from braidorder.words import is_sigma_consistent
 from conftest import (
     STRAND_REGIMES,
     act_letters,
+    arcs_cross,
     insert_identity,
     random_word,
     reduce_sequence,
@@ -186,21 +187,6 @@ def suite_g_sign_algebra(rng, cases, strands=SMALL):
             assert sign(a * b).kind == "positive"
 
 
-def _arcs_cross(coords, letters):
-    upper, lower = [], []
-    for p in range(1, len(letters) - 1):
-        x = letters[p]
-        if not (x == UP or x == DOWN):
-            continue
-        ends = sorted((coords[p - 1], coords[p + 1]))
-        (upper if x == UP else lower).append(ends)
-    for side in (upper, lower):
-        for (a, b), (c, d) in itertools.combinations(side, 2):
-            if a < c < b < d or c < a < d < b:
-                return True
-    return False
-
-
 def suite_h_occurrence_order(rng, cases, strands=SMALL, max_assignments=5000):
     """Against brute force: of all ways to stack same-gap crossings, exactly
     one avoids arc intersections, and occurrence_order finds it."""
@@ -238,7 +224,7 @@ def suite_h_occurrence_order(rng, cases, strands=SMALL, max_assignments=5000):
             for p, x in enumerate(s.letters):
                 if _is_hole(x):
                     coords[p] = (x, 0)
-            if not _arcs_cross(coords, s.letters):
+            if not arcs_cross(coords, s.letters):
                 winners.append(
                     {k: tuple(sorted(occs[k], key=lambda q: coords[q][1])) for k in keys}
                 )

@@ -121,3 +121,47 @@ def test_agreement_checks_the_error_of_compare_sequences(monkeypatch, message, d
         monkeypatch.setattr(order, "compare_sequences", refusing(order, text))
     differ, _, _, _ = ab_inprocess.agreement(libs, seed=3, count=20)
     assert len(differ) == (20 if differs else 0)
+
+
+def test_difference_gives_the_verdicts_or_the_first_differing_interval():
+    reduced = ("ValueError", "input sequence must be reduced")
+    renamed = ("InvalidSequenceError", "input sequence must be reduced")
+    kind, detail = ab_inprocess.difference(
+        (False, "sequence is not reduced", ()), (True, None, ())
+    )
+    assert kind == "validate"
+    assert detail == "validate: parent (False, 'sequence is not reduced'), change (True, None)"
+    kind, detail = ab_inprocess.difference(
+        (False, "r", ((), reduced, reduced)), (False, "r", ((), renamed, renamed))
+    )
+    assert kind == "error type ValueError -> InvalidSequenceError, same message"
+    assert detail == f"interval 1: parent {reduced}, change {renamed}"
+    kind, detail = ab_inprocess.difference(
+        (True, None, ((3, 7), (5,))), (True, None, ((7, 3), (5,)))
+    )
+    assert (kind, detail) == ("occurrence_order", "interval 0: parent (3, 7), change (7, 3)")
+    # a renamed error and a changed order: not a renaming only
+    kind, _ = ab_inprocess.difference(
+        (False, "r", (reduced, (3, 7))), (False, "r", (renamed, (7, 3)))
+    )
+    assert kind == "occurrence_order"
+
+
+def test_agreement_shows_what_each_side_gave_for_a_differing_sequence(monkeypatch):
+    # the parent side refuses an unreduced sequence with a plain ValueError
+    libs = local_libs("braidorder_renamed")
+    geometry = libs["parent"]["braidorder.geometry"]
+    right = geometry.occurrence_order
+
+    def plain(s, k):
+        try:
+            return right(s, k)
+        except libs["parent"]["braidorder.cutseq"].InvalidSequenceError as e:
+            raise ValueError(str(e)) from None
+
+    monkeypatch.setattr(geometry, "occurrence_order", plain)
+    differ, differ_sequences, _, _ = ab_inprocess.agreement(libs, seed=3, count=50)
+    assert differ == [] and len(differ_sequences) > 5
+    for text, kind in differ_sequences:
+        assert kind == "error type ValueError -> InvalidSequenceError, same message"
+        assert "parent ('ValueError', 'input sequence must be reduced'), change (" in text

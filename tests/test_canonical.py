@@ -250,6 +250,26 @@ def test_canonical_form_checks_each_generator_result_once(monkeypatch, rng):
     assert slid > 100
 
 
+def test_every_slide_letter_is_a_generator_of_its_strands(monkeypatch):
+    # the word action checks no index: the slide loop relies on each run
+    # lying between values of the diagram, so within 1..n-1
+    slide_letters = canonical._slide_letters
+    made = []
+    monkeypatch.setattr(
+        canonical, "_slide_letters", lambda walk: made.append(slide_letters(walk)) or made[-1]
+    )
+    rng = random.Random(6)
+    slides = 0
+    for j in range(5_000):
+        n = 2 + j % 8
+        made.clear()
+        canonical_form(random_word(rng, n, max_len=14))
+        for letters in made:
+            assert letters and all(1 <= abs(k) <= n - 1 for k in letters), (n, letters)
+        slides += len(made)
+    assert slides > 10_000
+
+
 def test_leftmost_useful_subword_matches_the_reference_where_one_arc_is_usable():
     # the trimmed search skips the crossings' real-line order when only one
     # crossing arc is usable; many such diagrams have two or more crossings

@@ -3,8 +3,11 @@ import random
 import pytest
 
 from braidorder import (
+    BraidWord,
     CuttingSequence,
     InvalidSequenceError,
+    WordError,
+    compare_sequences,
     format_sequence,
     parse_sequence,
     parse_word,
@@ -24,6 +27,7 @@ from braidorder.cutseq import (
     sign_of,
     trivial_sequence,
 )
+from braidorder.geometry import occurrence_order
 from braidorder.words import MAX_STRANDS, free_reduce
 from conftest import random_word, reduce_sequence
 
@@ -70,15 +74,27 @@ def test_strand_count_is_bounded():
     too_many = tuple(range(0, 2 * MAX_STRANDS + 5, 2))
     with pytest.raises(InvalidSequenceError, match="strand count"):
         CuttingSequence(MAX_STRANDS + 1, too_many)
+    for n in (1, MAX_STRANDS + 1, 10**30):
+        with pytest.raises(InvalidSequenceError, match="out of range 2..") as e:
+            trivial_sequence(n)
+        assert str(e.value) == word_strand_error(n)
 
 
-@pytest.mark.parametrize("bad", [3.0, True, "3", None])
+def word_strand_error(n):
+    """The message of ``BraidWord``'s refusal of the strand count n."""
+    with pytest.raises(WordError) as e:
+        BraidWord(n)
+    return str(e.value)
+
+
+@pytest.mark.parametrize("bad", [3.0, 2.0, True, "3", None])
 def test_a_strand_count_that_is_not_an_int_is_refused(bad):
     # 3.0 == 3, so the float would otherwise build and validate as n = 3
     with pytest.raises(InvalidSequenceError, match="not an integer strand count"):
         CuttingSequence(bad, (0, 2, 4, 6, 8))
-    with pytest.raises(InvalidSequenceError, match="not an integer strand count"):
+    with pytest.raises(InvalidSequenceError, match="not an integer strand count") as e:
         trivial_sequence(bad)
+    assert str(e.value) == word_strand_error(bad)
 
 
 @pytest.mark.parametrize("bad", [True, 1.0, -1.0, 2, 0, "1"])
@@ -451,6 +467,7 @@ def with_a_reducible_window(rng, letters, n):
 
 def test_seeded_unreduced_sequences_are_refused():
     rng = random.Random(3)
+    intervals = random.Random(4)  # a stream of its own: the sequences stay those of rng
     for _ in range(400):
         n = rng.randint(2, 5)
         s = word_to_cutseq(random_word(rng, n, max_len=6))
@@ -460,6 +477,12 @@ def test_seeded_unreduced_sequences_are_refused():
             sign_of(t)
         with pytest.raises(InvalidSequenceError, match="must be reduced"):
             apply_generator(t, rng.randint(1, n - 1), rng.choice((1, -1)))
+        with pytest.raises(InvalidSequenceError, match="must be reduced"):
+            occurrence_order(t, intervals.randint(0, n))
+        with pytest.raises(InvalidSequenceError, match="must be reduced"):
+            compare_sequences(t, s)
+        with pytest.raises(InvalidSequenceError, match="must be reduced"):
+            compare_sequences(s, t)
 
 
 def test_hole_and_gap_letters_print_distinctly():
@@ -510,11 +533,16 @@ def test_word_action_of_the_empty_word_is_its_input():
     assert cutseq._act_word(s, ()) is s
 
 
-def test_word_action_range_checks_every_generator():
+def test_generator_indices_are_range_checked_where_they_enter():
+    # the word action checks no index: a word's indices are checked where
+    # the word enters, so these never reach it
     s = trivial_sequence(3)
     for word in [(3,), (1, -3), (1, 0)]:
+        with pytest.raises(WordError, match="out of range for 3 strands"):
+            BraidWord(3, word)
+        k = word[-1]
         with pytest.raises(ValueError, match="out of range 1..2"):
-            cutseq._act_word(s, word)
+            apply_generator(s, abs(k), 1 if k > 0 else -1)
 
 
 def test_malformed_result_under_word_to_cutseq_is_a_rewrite_error(monkeypatch):

@@ -13,7 +13,7 @@ and of arcs checked.  The library's one-pass, adjacent-pair and stack-sweep vers
 agree with it on orders, verdicts and error types.
 
 The oracle and the reference read letters as ``Hole(k)``/``Gap(k)`` objects
-and arrows, converted from the library's ints by :func:`as_objects`.
+and arrows, converted from the library's ints by ``conftest``'s :func:`as_objects`.
 """
 
 import ast
@@ -28,6 +28,7 @@ import pytest
 
 from braidorder import (
     AmbiguityError,
+    InvalidSequenceError,
     canonical_form,
     parse_sequence,
     parse_word,
@@ -45,28 +46,9 @@ from braidorder.cutseq import (
 )
 from braidorder.geometry import _sort_crossings, occurrence_order
 from braidorder.words import MAX_STRANDS
-from conftest import random_word
+from conftest import Gap, Hole, arcs_cross, as_ints, as_objects, random_word
 
 TWO_LETTER_IMAGE = "_0 ^ 1 v _3 v _1 v 3 ^ _2 ^ _4"
-
-
-@dataclasses.dataclass(frozen=True)
-class Hole:
-    k: int
-
-
-@dataclasses.dataclass(frozen=True)
-class Gap:
-    k: int
-
-
-def as_objects(letters):
-    """Puncture 2k -> Hole(k), crossing 2k+1 -> Gap(k); arrows stay."""
-    return [x if x < 0 else (Gap if x & 1 else Hole)(x >> 1) for x in letters]
-
-
-def as_ints(objects):
-    return tuple(x if isinstance(x, int) else 2 * x.k + isinstance(x, Gap) for x in objects)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -168,22 +150,6 @@ def test_occurrence_order_takes_only_an_int_interval(bad):
         occurrence_order(s, bad)
 
 
-def _arcs_cross(coords, letters):
-    upper, lower = [], []
-    for p in range(1, len(letters) - 1):
-        x = letters[p]
-        if not (x == UP or x == DOWN):
-            continue
-        a, b = coords[p - 1], coords[p + 1]
-        lo, hi = min(a, b), max(a, b)
-        (upper if x == UP else lower).append((lo, hi))
-    for side in (upper, lower):
-        for (a, b), (c, d) in itertools.combinations(side, 2):
-            if a < c < b < d or c < a < d < b:
-                return True
-    return False
-
-
 def exhaustive_orders(s):
     """All crossing-free joint rank assignments, as {gap: positions bottom-up}.
 
@@ -208,7 +174,7 @@ def exhaustive_orders(s):
         for p, x in enumerate(letters):
             if isinstance(x, Hole):
                 coords[p] = (2 * x.k, 0)
-        if not _arcs_cross(coords, letters):
+        if not arcs_cross(coords, letters):
             good.append(
                 {
                     k: tuple(sorted(occs[k], key=lambda p: coords[p][1]))
@@ -324,7 +290,7 @@ def reference_sort(ups, downs, k):
 
 def reference_occurrence_order(s, k):
     if not is_reduced(s):
-        raise ValueError("input sequence must be reduced")
+        raise InvalidSequenceError("input sequence must be reduced")
     letters = as_objects(s.letters)
     positions = [p for p, x in enumerate(letters) if isinstance(x, Gap) and x.k == k]
     if len(positions) < 2:

@@ -7,8 +7,8 @@ references - the marked-letter reduction of the order walk, the fragment
 straightening of the slide arcs and the rule table as it stood before a
 stripped puncture could collapse - and seeded inputs must give the same
 letters from both.  The references read letters as ``Hole(k)``, ``Gap(k)``
-and ``_Stripped(k)`` objects and arrows, converted from and to the
-library's ints by :func:`as_objects` and :func:`as_ints`.
+and ``Stripped(k)`` objects and arrows, converted from and to the
+library's ints by ``conftest``'s :func:`as_objects` and :func:`as_ints`.
 """
 
 import dataclasses
@@ -21,51 +21,7 @@ from braidorder import BraidWord, CuttingSequence, word_to_cutseq
 from braidorder.canonical import CanonicalError, emit_slide_word
 from braidorder.cutseq import DOWN, UP, _reduce_letters, _try_rule, is_reduced
 from braidorder.order import _strip_and_reduce
-from conftest import random_word
-
-# --- the old letters and the conversion ------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class Hole:
-    k: int
-
-
-@dataclasses.dataclass(frozen=True)
-class Gap:
-    k: int
-
-
-@dataclasses.dataclass(frozen=True)
-class _Stripped:
-    k: int
-
-
-def as_objects(letters):
-    """Puncture 2k -> Hole(k), crossing 2k+1 -> Gap(k), stripped puncture
-    ~2k -> _Stripped(k); arrows stay."""
-    out = []
-    for x in letters:
-        if x == UP or x == DOWN:
-            out.append(x)
-        elif x < 0:
-            out.append(_Stripped(~x >> 1))
-        else:
-            out.append((Gap if x & 1 else Hole)(x >> 1))
-    return out
-
-
-def as_ints(objects):
-    out = []
-    for x in objects:
-        if isinstance(x, int):
-            out.append(x)
-        elif isinstance(x, _Stripped):
-            out.append(~(2 * x.k))
-        else:
-            out.append(2 * x.k + isinstance(x, Gap))
-    return out
-
+from conftest import Gap, Hole, Stripped, as_ints, as_objects, random_word
 
 # --- references ----------------------------------------------------------------
 
@@ -191,7 +147,7 @@ def _as_marked(x):
         return _Marked(2 * x.k, True)
     if isinstance(x, Gap):
         return _Marked(2 * x.k + 1, False)
-    if isinstance(x, _Stripped):
+    if isinstance(x, Stripped):
         return _Marked(2 * x.k, False)
     return x
 
@@ -234,11 +190,11 @@ def test_is_reduced_matches_every_window_reference():
 
 
 def test_stripped_puncture_only_collapses():
-    stripped = as_ints([_Stripped(2)])[0]
+    stripped = as_ints([Stripped(2)])[0]
     for arrow in (UP, DOWN):
         assert _try_rule(arrow, stripped, arrow) == [arrow]
         assert _try_rule(arrow, stripped, UP if arrow == DOWN else DOWN) is None
-        for other in as_ints([Hole(1), Hole(3), Gap(1), Gap(2), _Stripped(3)]):
+        for other in as_ints([Hole(1), Hole(3), Gap(1), Gap(2), Stripped(3)]):
             assert _try_rule(stripped, arrow, other) is None
             assert _try_rule(other, arrow, stripped) is None
 

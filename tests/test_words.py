@@ -95,9 +95,13 @@ def test_strand_count_is_bounded():
         parse_word("", MAX_STRANDS + 1)
     with pytest.raises(WordError, match="strand count"):
         parse_word("", 10**9)
+    for n, text in [(1, "1"), (MAX_STRANDS + 1, "10001"), (10**30, "<100-bit number>")]:
+        with pytest.raises(WordError) as e:
+            BraidWord(n)
+        assert str(e.value) == f"strand count {text} out of range 2..{MAX_STRANDS}"
 
 
-@pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", None])
+@pytest.mark.parametrize("bad", [2.5, 3.0, 2.0, True, "3", None])
 def test_constructor_refuses_a_strand_count_that_is_not_an_int(bad):
     # a float would otherwise reach sign ("can't multiply sequence by
     # non-int") and canonical_form, and True would pass as 1
