@@ -28,7 +28,11 @@ same on both sides.  For each differing sequence it prints what each side
 gave: the verdict and reason of ``validate``, or the order or error of the
 first interval that differs; then how many differing sequences differ in
 each way, so a deliberate difference (an error renamed, say) can be told
-from the output alone.
+from the output alone.  Last, both sides parse the same 3,000 seeded texts
+with ``parse_word`` at n = 2..12, a third of them with a malformed token (a
+zero, a leading zero, a "+", another script's digit, a long token, a digit
+run past 4,300 digits) and some with a letter out of range: the letters,
+or the error's type and message, must be the same.
 
 It prints, for each operation kind, the milliseconds per operation on each
 side (the mean of the best times), the change/parent ratio, and the
@@ -54,6 +58,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 AGREEMENT_WORDS = 3_000
+PARSE_TEXTS = 3_000
+FAULTS = ("0", "-0", "01", "+1", "\u0663", "1_0", "--1", "x", "1" * 21, "1" * 4_301)
 
 
 def load_bench_run():
@@ -207,6 +213,42 @@ def agreement(libs: dict[str, dict], seed: int, count: int = AGREEMENT_WORDS):
     return differ, differ_sequences, checked, rejected
 
 
+def random_text(rng: random.Random, n: int) -> str:
+    """Letters valid on n strands, or a quarter of the time of index up to
+    n, one past the largest valid, with a token of ``FAULTS`` inserted a
+    third of the time, joined by spaces, NBSPs or \\x1c separators."""
+    top = n if rng.random() < 0.25 else n - 1
+    tokens = [str(rng.choice((1, -1)) * rng.randint(1, top)) for _ in range(rng.randint(0, 12))]
+    if rng.random() < 1 / 3:
+        tokens.insert(rng.randint(0, len(tokens)), rng.choice(FAULTS))
+    return rng.choice((" ", " ", "\xa0", "\x1c")).join(tokens)
+
+
+def parse_outcome(lib: dict, text: str, n: int):
+    """``parse_word(text, n)``'s letters, or its error's type and message."""
+    try:
+        return lib["braidorder.words"].parse_word(text, n).letters
+    except Exception as e:  # an error, too, must be the same on both sides
+        return type(e).__name__, str(e)
+
+
+def parse_agreement(libs: dict[str, dict], seed: int, count: int = PARSE_TEXTS):
+    """The texts, as ``n=..: repr(text)`` with both sides' outcomes, on which
+    the sides' :func:`parse_outcome` differs, and how many texts the parent
+    side refused."""
+    rng = random.Random(f"{seed}:parse")
+    differ = []
+    refused = 0
+    for j in range(count):
+        n = 2 + j % 11
+        text = random_text(rng, n)
+        parent, change = (parse_outcome(lib, text, n) for lib in libs.values())
+        refused += bool(parent) and isinstance(parent[0], str)
+        if parent != change:
+            differ.append(f"n={n}: {text[:60]!r}\n    parent {parent}, change {change}")
+    return differ, refused
+
+
 def summary(kinds: list[str], best: dict[str, list[float]]) -> tuple[list[tuple], float]:
     """Per-kind rows ``(kind, ops, parent ms/op, change ms/op, change/parent)``
     in the order the kinds first occur, and the ops/s ratio change/parent.
@@ -262,6 +304,14 @@ def main() -> int:
     for kind, count in collections.Counter(kind for _, kind in differ_sequences).items():
         print(f"  {count} differ by {kind}")
 
+    differ_texts, refused = parse_agreement(libs, args.seed)
+    print(
+        f"parse_word: {PARSE_TEXTS - len(differ_texts)} of {PARSE_TEXTS} texts alike, "
+        f"{refused} of them refused"
+    )
+    for text in differ_texts[:10]:
+        print(f"  differs: {text}")
+
     corpora = {
         side: run.corpus.build(
             args.workload,
@@ -316,7 +366,7 @@ def main() -> int:
     for side in SIDES:
         if wrong[side]:
             print(f"WRONG ANSWERS on the {side} side: {wrong[side]}")
-    return 1 if differ or differ_sequences or any(wrong.values()) else 0
+    return 1 if differ or differ_sequences or differ_texts or any(wrong.values()) else 0
 
 
 if __name__ == "__main__":

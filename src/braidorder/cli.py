@@ -46,7 +46,8 @@ word_args = {"ignore_unknown_options": True}
 
 class _Group(click.Group):
     """The one map from errors to exit codes: bad input exits 1 with click's
-    one-line message, and an error that only a bug can raise exits 3."""
+    one-line message, and an error that only a bug can raise exits 3.
+    Click's own usage errors exit 2."""
 
     def invoke(self, ctx):
         try:

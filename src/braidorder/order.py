@@ -32,6 +32,7 @@ referee of the coordinate route.
 from __future__ import annotations
 
 import enum
+import functools
 from operator import neg
 
 from .cutseq import (
@@ -101,16 +102,21 @@ def _act_letters(c: list[int], letters) -> None:
             c[i + 3] = b1 + tp
 
 
+# One frozen SignResult per kind and index, shared by every answer with
+# them: at most 2 * MAX_STRANDS + 1 are ever made.
+_shared_result = functools.cache(SignResult)
+
+
 def _coordinate_sign(c: list[int]) -> SignResult:
     """The sign rule of the module docstring, read from the coordinates."""
     for j in range(0, len(c), 2):
         if c[j] > 0:
-            return SignResult("positive", j // 2 + 1)
+            return _shared_result("positive", j // 2 + 1)
         if c[j] < 0:
-            return SignResult("negative", j // 2 + 1)
+            return _shared_result("negative", j // 2 + 1)
         if c[j + 1] != 1:
             raise RewriteError(f"pair {j // 2 + 1} changed but has a = 0")
-    return SignResult("trivial")
+    return _shared_result("trivial")
 
 
 def sign(w: BraidWord) -> SignResult:

@@ -8,6 +8,7 @@ the identity braid.  Strings are labeled by their starting position, 1..n.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
 
 
@@ -37,11 +38,15 @@ class BraidWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
+        # Only words built from outside are checked here: parse_word, and
+        # free_reduce, inverse and * on checked words, build theirs by _word.
         _check_strands(self.n, WordError)
         letters = tuple(self.letters)
         top = self.n - 1
         # a plain loop: screening with set(map(type, ...)), min and max
-        # took 2-3 times as long on words of 4 to 100 letters (CPython 3.11)
+        # took 2-3 times as long on words of 4 to 100 letters.  The check
+        # costs 1.5 us on 10 letters and 3.2 us on 40, _word 0.4-0.5 us
+        # (CPython 3.11, Intel Xeon).
         for k in letters:
             if type(k) is not int:  # a bool would pass as 1, a float reach sign
                 raise WordError(f"not an integer letter: {_brief(k)}")
@@ -50,18 +55,31 @@ class BraidWord:
         object.__setattr__(self, "letters", letters)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
+        if not isinstance(other, BraidWord):
+            return NotImplemented
         if self.n != other.n:
             raise WordError(f"strand count mismatch: {self.n} vs {other.n}")
-        return BraidWord(self.n, self.letters + other.letters)
+        return _word(self.n, self.letters + other.letters)
 
     def inverse(self) -> "BraidWord":
-        return BraidWord(self.n, tuple(-k for k in reversed(self.letters)))
+        return _word(self.n, tuple(-k for k in reversed(self.letters)))
 
     def __len__(self) -> int:
         return len(self.letters)
 
     def __str__(self) -> str:
         return format_word(self)
+
+
+def _word(n: int, letters: tuple[int, ...]) -> BraidWord:
+    """A word of a strand count and letters already known valid, built
+    without ``BraidWord``'s check; writing the instance dict costs half as
+    much as two ``object.__setattr__`` calls."""
+    w = object.__new__(BraidWord)
+    fields = w.__dict__
+    fields["n"] = n
+    fields["letters"] = letters
+    return w
 
 
 @dataclasses.dataclass(frozen=True)
@@ -124,12 +142,37 @@ def parse_letters(text: str) -> tuple[int, ...]:
     raise WordError(f"not an integer letter: {_quoted(bad)}")
 
 
+# Texts on more strands use the table of this many, so their letters of
+# this index and up take the full route: at most 63 tables are built, with
+# 4,032 spellings in all.
+_TABLE_STRANDS = 64
+
+
+@functools.cache
+def _spellings(n: int) -> dict[str, int]:
+    """The letters valid on n strands, keyed by their one text form."""
+    return {str(k): k for j in range(1, n) for k in (j, -j)}
+
+
 def parse_word(text: str, strands: int) -> BraidWord:
     """Parse whitespace-separated signed generator indices ("1 -2").
 
     The empty string is the identity.  Inverse of :func:`format_word`.
+    A token's spelling decides its syntax, type and range at once.  A text
+    with a token not in the table (a fault, or a letter of index 64 or
+    more) takes the full route, :func:`parse_letters` and then
+    ``BraidWord``'s check, so its faults are reported in that order.
     """
-    return BraidWord(strands, parse_letters(text))
+    try:
+        _check_strands(strands, WordError)
+    except WordError:
+        parse_letters(text)  # a malformed letter is reported first
+        raise
+    table = _spellings(strands if strands < _TABLE_STRANDS else _TABLE_STRANDS)
+    letters = tuple(map(table.get, text.split()))
+    if None in letters:
+        return BraidWord(strands, parse_letters(text))
+    return _word(strands, letters)
 
 
 def format_word(w: BraidWord) -> str:
@@ -170,7 +213,7 @@ def free_reduce(w: BraidWord) -> BraidWord:
                 keep[p] = keep[j] = False
                 continue
         same.append(j)
-    return BraidWord(w.n, tuple(k for k, kept in zip(letters, keep) if kept))
+    return _word(w.n, tuple(k for k, kept in zip(letters, keep) if kept))
 
 
 def permutation_image(w: BraidWord) -> tuple[int, ...]:

@@ -165,3 +165,46 @@ def test_agreement_shows_what_each_side_gave_for_a_differing_sequence(monkeypatc
     for text, kind in differ_sequences:
         assert kind == "error type ValueError -> InvalidSequenceError, same message"
         assert "parent ('ValueError', 'input sequence must be reduced'), change (" in text
+
+
+def test_parse_outcome_is_the_letters_or_the_error():
+    lib = local_libs("braidorder_parse")["parent"]
+    assert ab_inprocess.parse_outcome(lib, "1 -2", 3) == (1, -2)
+    assert ab_inprocess.parse_outcome(lib, "", 3) == ()
+    assert ab_inprocess.parse_outcome(lib, "3", 3) == (
+        "WordError",
+        "letter 3 out of range for 3 strands",
+    )
+    assert ab_inprocess.parse_outcome(lib, "3 +1", 3) == ("WordError", "not an integer letter: '+1'")
+
+
+def test_random_texts_mix_valid_words_faults_and_separators():
+    import random
+
+    rng = random.Random(4)
+    texts = [ab_inprocess.random_text(rng, 5) for _ in range(400)]
+    assert any("\xa0" in t for t in texts) and any("\x1c" in t for t in texts)
+    for fault in ("+1", "1" * 4_301):
+        assert any(fault in t.split() for t in texts)
+    assert 200 < sum(all(t in {"1", "2", "3", "4", "-1", "-2", "-3", "-4"} for t in x.split())
+                     for x in texts) < 300
+
+
+def test_parse_agreement_of_a_checkout_with_itself():
+    libs = local_libs("braidorder_parse_self")
+    differ, refused = ab_inprocess.parse_agreement(libs, seed=3, count=300)
+    assert differ == []
+    assert 60 < refused < 200  # malformed texts and letters out of range
+
+
+def test_parse_agreement_shows_what_each_side_gave(monkeypatch):
+    # the change side reads "+1" as the letter 1
+    libs = local_libs("braidorder_parse_plus")
+    words = libs["change"]["braidorder.words"]
+    right = words.parse_word
+    monkeypatch.setattr(words, "parse_word", lambda text, n: right(text.replace("+1", "1"), n))
+    differ, _ = ab_inprocess.parse_agreement(libs, seed=3, count=300)
+    assert differ
+    for text in differ:
+        assert "+1" in text
+        assert "parent ('WordError', \"not an integer letter: '+1'\"), change (" in text

@@ -237,6 +237,24 @@ def test_huge_number_exits_1_with_a_short_message(args):
     assert "Traceback" not in r.output
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("sign",), "Missing argument 'WORD'."),
+        (("compare", "1", "2", "3"), "Got unexpected extra argument (3)"),
+        (("frobnicate", "1"), "No such command 'frobnicate'."),
+        (("sign", "-n", "x", "1"), "Invalid value for '-n' / '--strands': 'x' is not a valid integer."),
+    ],
+    ids=["missing argument", "extra argument", "unknown subcommand", "non-integer -n"],
+)
+def test_usage_errors_exit_2_with_clicks_message(args, message):
+    r = run(*args)
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("Usage: main ")
+    assert r.stderr.endswith(f"\n\nError: {message}\n")
+
+
 @pytest.mark.parametrize("error", [RewriteError, CanonicalError, AmbiguityError])
 def test_internal_error_exits_3_with_one_line(monkeypatch, error):
     def broken(*args, **kwargs):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -46,6 +47,19 @@ def test_sign_examples():
     assert str(sign(w("1 -2"))) == "positive i=1"
     assert str(sign(w("2 -2"))) == "trivial"
     assert str(sign(w("-2 -3 1 -2 1 3 2", 4))) == "positive i=1"
+
+
+def test_sign_results_are_frozen_and_equal_for_equal_signs():
+    for a, b in [("1", "1 2 -2"), ("-2 1", "-1 2 1"), ("", "2 -2"), ("2", "2 1 -1")]:
+        ra, rb = sign(w(a)), sign(w(b))
+        assert ra == rb and hash(ra) == hash(rb) and str(ra) == str(rb)
+        assert ra is rb  # one shared result per kind and index
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ra.kind = "negative"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rb.index = 7
+        assert (ra.kind, ra.index) == (rb.kind, rb.index)
+    assert sign(w("1")) != sign(w("-1")) != sign(w("2", 4))
 
 
 def test_sign_sees_through_free_identities():

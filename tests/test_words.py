@@ -1,15 +1,18 @@
+import random
 import re
 import time
 
 import pytest
 
 from braidorder import BraidWord, WordError, braid_equal, parse_word
+from braidorder import words
 from braidorder.words import (
     MAX_STRANDS,
     crossing_numbers,
     format_word,
     free_reduce,
     is_sigma_consistent,
+    parse_letters,
     permutation_image,
 )
 from conftest import insert_identity, random_word
@@ -153,6 +156,86 @@ def test_product_and_inverse():
 def test_product_requires_same_strands():
     with pytest.raises(WordError):
         parse_word("1", 2) * parse_word("1", 3)
+
+
+@pytest.mark.parametrize("product", [lambda w: w * 5, lambda w: 5 * w])
+def test_product_with_a_non_word_raises_type_error(product):
+    with pytest.raises(TypeError, match="unsupported operand"):
+        product(parse_word("1", 3))
+
+
+def outcome(parse, text, n):
+    """The word parse(text, n) gives, or its error's type and message."""
+    try:
+        return parse(text, n)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def reference_parse(text, n):
+    """Every letter read by parse_letters, then checked by BraidWord."""
+    return BraidWord(n, parse_letters(text))
+
+
+# Tokens the spelling table must refuse, each for the reason the reference
+# gives: a zero, leading zeros, a plus sign, other scripts' digits, a stray
+# or doubled "-", tokens past 20 characters, and digit runs past 4,300
+# digits, which int() refuses.
+FAULTS = ["0", "-0", "00", "01", "-01", "007", "+1", "+0", "\u0663", "\uff11", "1\u0663",
+          "1_0", "--1", "-", "1-", "1.0", "x", "1" * 21, "-" + "2" * 30, "1" * 4_301,
+          "-" + "9" * 4_400, "0" + "1" * 5_000]
+
+
+def random_text(rng):
+    """Letters of index up to a top of 1 to 13, so that some are out of
+    range at every n tried, sometimes with a fault, joined by spaces, tabs,
+    newlines, NBSPs and \\x1c separators: str.split and the reference both
+    take these as whitespace."""
+    top = rng.choice((1, 2, 4, 8, 11, 13))
+    tokens = [str(rng.choice((1, -1)) * rng.randint(1, top)) for _ in range(rng.randint(0, 12))]
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        tokens.insert(rng.randint(0, len(tokens)), rng.choice(FAULTS))
+    seps = [rng.choice((" ", " ", " ", "  ", "\t", "\n", "\xa0", "\x1c")) for _ in tokens]
+    text = "".join(sep + token for sep, token in zip(seps, tokens))
+    return text if rng.random() < 0.5 else text.strip()
+
+
+def test_parse_word_matches_the_reference_on_seeded_texts():
+    rng = random.Random(18)
+    parsed = errors = refused_at_a_smaller_n = 0
+    for _ in range(6_000):
+        text = random_text(rng)
+        seen = []
+        for n in (2, rng.randint(3, 11), 12):
+            got, want = outcome(parse_word, text, n), outcome(reference_parse, text, n)
+            assert got == want, (text[:80], n)
+            if isinstance(got, BraidWord):
+                assert got.n == n and all(type(k) is int for k in got.letters)
+                parsed += 1
+            else:
+                errors += 1
+            seen.append(isinstance(got, BraidWord))
+        refused_at_a_smaller_n += seen[2] and not seen[0]
+    assert parsed > 4_000 and errors > 10_000 and refused_at_a_smaller_n > 1_000
+
+
+@pytest.mark.parametrize("n", [1, 0, -3, MAX_STRANDS + 1, 10**30, 2.0, True, "3", None])
+@pytest.mark.parametrize("text", ["", "1", "0", "x", "1 +1", "9" * 5_000])
+def test_parse_word_reports_the_reference_error_for_a_refused_strand_count(n, text):
+    got = outcome(parse_word, text, n)
+    assert got == outcome(reference_parse, text, n)
+    assert got[0] is WordError
+
+
+def test_spelling_tables_stay_within_their_bound():
+    top = words._TABLE_STRANDS
+    for n in [*range(2, 300), 1_000, 4_321, MAX_STRANDS - 1, MAX_STRANDS]:
+        assert parse_word(f"1 -{n - 1}", n).letters == (1, 1 - n)
+    info = words._spellings.cache_info()
+    assert info.currsize <= top - 1
+    assert len(words._spellings(top)) == 2 * (top - 1)
+    assert sum(len(words._spellings(m)) for m in range(2, top + 1)) == top * (top - 1) == 4_032
+    assert words._spellings.cache_info().currsize == info.currsize  # none built above
 
 
 def test_free_reduce():
