@@ -32,7 +32,11 @@ from the output alone.  Last, both sides parse the same 3,000 seeded texts
 with ``parse_word`` at n = 2..12, a third of them with a malformed token (a
 zero, a leading zero, a "+", another script's digit, a long token, a digit
 run past 4,300 digits) and some with a letter out of range: the letters,
-or the error's type and message, must be the same.
+or the error's type and message, must be the same.  So must those of
+``parse_sequence`` on 3,000 seeded sequence texts: word images on 2..12
+strands, and now and then on 63, 64 or 65 around the spelling tables' cap,
+half of them perturbed as above, a third with a malformed token put in, a
+value past n or a final token that is not a hole.
 
 It prints, for each operation kind, the milliseconds per operation on each
 side (the mean of the best times), the change/parent ratio, and the
@@ -60,6 +64,10 @@ SIDES = ("parent", "change")
 AGREEMENT_WORDS = 3_000
 PARSE_TEXTS = 3_000
 FAULTS = ("0", "-0", "01", "+1", "\u0663", "1_0", "--1", "x", "1" * 21, "1" * 4_301)
+SEQUENCE_TEXTS = 3_000
+SEQUENCE_FAULTS = (
+    "_", "_01", "01", "+1", "-1", "1_0", "_\u0662", "\uff11", "x", "1" * 6, "9" * 4_301
+)
 
 
 def load_bench_run():
@@ -249,6 +257,53 @@ def parse_agreement(libs: dict[str, dict], seed: int, count: int = PARSE_TEXTS):
     return differ, refused
 
 
+def random_sequence_text(rng: random.Random, n: int, tokens: list[str]) -> str:
+    """The ``tokens`` of a sequence on n strands, a third of the time with
+    a token of ``SEQUENCE_FAULTS`` put in, a value past n, or a final token
+    that is not a hole, joined by spaces, NBSPs or \\x1c separators."""
+    tokens = list(tokens)
+    if rng.random() < 1 / 3:
+        fault = rng.randrange(3)
+        if fault == 0:
+            tokens.insert(rng.randint(0, len(tokens)), rng.choice(SEQUENCE_FAULTS))
+        elif fault == 1:
+            tokens[rng.randrange(len(tokens))] = rng.choice((str(n + 1), f"_{n + 2}"))
+        else:
+            tokens[-1] = rng.choice(("^", "v", str(n)))
+    return rng.choice((" ", " ", "\xa0", "\x1c")).join(tokens)
+
+
+def sequence_outcome(lib: dict, text: str):
+    """``parse_sequence(text)``'s letters, or its error's type and message."""
+    try:
+        return lib["braidorder.cutseq"].parse_sequence(text).letters
+    except Exception as e:  # an error, too, must be the same on both sides
+        return type(e).__name__, str(e)
+
+
+def parse_sequence_agreement(libs: dict[str, dict], seed: int, count: int = SEQUENCE_TEXTS):
+    """The texts, as ``repr(text)`` with both sides' outcomes, on which the
+    sides' :func:`sequence_outcome` differs, and how many texts the parent
+    side refused.  The texts are the parent side's word images, half of
+    them :func:`perturbed`, as its ``format_sequence`` writes them."""
+    rng = random.Random(f"{seed}:parse_sequence")
+    words, cutseq = libs["parent"]["braidorder.words"], libs["parent"]["braidorder.cutseq"]
+    differ = []
+    refused = 0
+    for j in range(count):
+        n = (63, 64, 65)[j // 50 % 3] if j % 50 == 0 else 2 + j % 11
+        letters = cutseq.word_to_cutseq(words.BraidWord(n, random_letters(rng, n))).letters
+        if rng.random() < 0.5:
+            letters = perturbed(rng, n, letters)
+        tokens = cutseq.format_sequence(cutseq.CuttingSequence(n, letters)).split()
+        text = random_sequence_text(rng, n, tokens)
+        parent, change = (sequence_outcome(lib, text) for lib in libs.values())
+        refused += isinstance(parent[0], str)
+        if parent != change:
+            differ.append(f"{text[:60]!r}\n    parent {parent}, change {change}")
+    return differ, refused
+
+
 def summary(kinds: list[str], best: dict[str, list[float]]) -> tuple[list[tuple], float]:
     """Per-kind rows ``(kind, ops, parent ms/op, change ms/op, change/parent)``
     in the order the kinds first occur, and the ops/s ratio change/parent.
@@ -311,6 +366,13 @@ def main() -> int:
     )
     for text in differ_texts[:10]:
         print(f"  differs: {text}")
+    differ_sequence_texts, refused = parse_sequence_agreement(libs, args.seed)
+    print(
+        f"parse_sequence: {SEQUENCE_TEXTS - len(differ_sequence_texts)} of {SEQUENCE_TEXTS} "
+        f"texts alike, {refused} refused"
+    )
+    for text in differ_sequence_texts[:10]:
+        print(f"  differs: {text}")
 
     corpora = {
         side: run.corpus.build(
@@ -366,7 +428,8 @@ def main() -> int:
     for side in SIDES:
         if wrong[side]:
             print(f"WRONG ANSWERS on the {side} side: {wrong[side]}")
-    return 1 if differ or differ_sequences or differ_texts or any(wrong.values()) else 0
+    differs = differ or differ_sequences or differ_texts or differ_sequence_texts
+    return 1 if differs or any(wrong.values()) else 0
 
 
 if __name__ == "__main__":

@@ -27,8 +27,10 @@ occurs only in the lists the walk reduces, never in a ``CuttingSequence``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 from .words import MAX_STRANDS, BraidWord, SignResult, _brief, _check_strands, _quoted, free_reduce
+from .words import _TABLE_STRANDS
 
 UP = -1
 DOWN = -2
@@ -45,15 +47,17 @@ class RewriteError(RuntimeError):
     """The generator action produced a malformed sequence: an internal bug."""
 
 
-def _check_well_formed(n: int, letters) -> None:
+def _check_well_formed(n: int, letters, screened: bool = False) -> None:
     """Enforce the three structural conditions: endpoints, unique punctures,
     alternation of numbers and arrows (with value-adjacent hole pairs allowed).
 
-    One pass over the letters.  A letter's own fault raises at once; the
-    first adjacency fault is kept and raised only after the missing-holes
-    check, so a sequence with several faults reports the one that checking
-    each condition in turn would: endpoints, letters, missing holes,
-    adjacency.
+    One pass over the letters.  Each must be an int in ``DOWN..2n+2``,
+    which the pass tests unless ``screened`` says the caller has settled it
+    (a spelling table, or the generator action).  A letter's own fault
+    raises at once; the first adjacency fault is kept and raised only after
+    the missing-holes check, so a sequence with several faults reports the
+    one that checking each condition in turn would: endpoints, letters,
+    missing holes, adjacency.
     """
     _check_strands(n, InvalidSequenceError)
     top = 2 * n + 2
@@ -65,20 +69,18 @@ def _check_well_formed(n: int, letters) -> None:
     adjacency = None
     prev = UP  # a stand-in before _0: an arrow then a number is no fault
     for x in letters:
-        if type(x) is not int or x < DOWN:
-            raise InvalidSequenceError(f"not a cutting-sequence letter: {_brief(x)}")
+        if not screened and (type(x) is not int or not DOWN <= x <= top):
+            if type(x) is not int or x < DOWN:
+                raise InvalidSequenceError(f"not a cutting-sequence letter: {_brief(x)}")
+            kind, last = ("gap", n) if x & 1 else ("hole", n + 1)
+            raise InvalidSequenceError(f"{kind} value {_brief(x >> 1)} out of range 0..{last}")
         if x < 0:
             if prev < 0 and adjacency is None:
                 adjacency = "two adjacent arrows"
         else:
-            if x & 1:
-                if x > top:
-                    raise InvalidSequenceError(f"gap value {_brief(x >> 1)} out of range 0..{n}")
-            elif x > top:
-                raise InvalidSequenceError(f"hole value {_brief(x >> 1)} out of range 0..{n + 1}")
-            elif x in seen:
-                raise InvalidSequenceError(f"hole {x >> 1} occurs more than once")
-            else:
+            if not x & 1:
+                if x in seen:
+                    raise InvalidSequenceError(f"hole {x >> 1} occurs more than once")
                 seen.add(x)
             if prev >= 0 and adjacency is None and (x & 1 or prev & 1 or abs(x - prev) != 2):
                 adjacency = (
@@ -124,11 +126,40 @@ def trivial_sequence(n: int) -> CuttingSequence:
     return CuttingSequence(n, tuple(range(0, 2 * n + 3, 2)))
 
 
+def _sequence(n: int, letters: tuple[int, ...]) -> CuttingSequence:
+    """A sequence of checked letters, built without the constructor's check.
+    ``object.__setattr__`` keeps the attributes inline: writing ``__dict__``
+    would make each instance 2.5 times the size."""
+    s = object.__new__(CuttingSequence)
+    object.__setattr__(s, "n", n)
+    object.__setattr__(s, "letters", letters)
+    return s
+
+
+@functools.cache
+def _spellings(n: int) -> dict[str, int]:
+    """The letters valid on n strands, keyed by their one text form."""
+    return {_format_letter(x): x for x in (UP, DOWN, *range(2 * n + 3))}
+
+
 def parse_sequence(text: str) -> CuttingSequence:
-    """Parse the ASCII encoding; the strand count is read off the final hole."""
-    letters: list[int] = []
+    """Parse the ASCII encoding; the strand count is read off the final hole.
+
+    On 2.._TABLE_STRANDS strands a token's spelling decides its syntax,
+    type and range at once, and only the structure is checked; any other
+    text is read token by token, with the errors in their order.
+    """
+    tokens = text.split()
+    last = _spellings(_TABLE_STRANDS).get(tokens[-1], -1) if tokens else -1
+    if last > 4 and not last & 1:  # the hole _3 or a later one
+        n = (last >> 1) - 1
+        letters = tuple(map(_spellings(n).get, tokens))
+        if None not in letters:
+            _check_well_formed(n, letters, screened=True)
+            return _sequence(n, letters)
+    letters = []
     known = dict(_TOKENS)  # a sequence repeats few distinct tokens: check each once
-    for token in text.split():
+    for token in tokens:
         x = known.get(token)
         if x is None:
             hole = token.startswith("_")
@@ -292,27 +323,26 @@ def _act_word(s: CuttingSequence, word) -> CuttingSequence:
     between the letters and one ``CuttingSequence``, the last result.
     Indices are checked where words enter (``BraidWord``,
     :func:`apply_generator`); a slide's runs lie between diagram values.
-    Every result is reduced and checked once, the last by the constructor,
-    the others by :func:`_check_well_formed`; a failed check is the rewrite
-    table's bug and raises ``RewriteError``."""
+    Every result is reduced, and its structure checked once by
+    :func:`_check_well_formed`; a failed check is the rewrite table's bug
+    and raises ``RewriteError``.  Its per-letter type and range test is
+    skipped: the rewrite writes only letters of its input and values from
+    hole i - 1 to hole i + 2, ints in range for an index in 1..n-1."""
     n = s.n
     letters = s.letters
-    last = len(word) - 1
-    for j, k in enumerate(word):
+    for k in word:
         out, start = _rewrite(letters, k if k > 0 else -k, k > 0)
+        letters = tuple(_reduce_letters(out, start))
         try:
             # The check covers the reduced result, which is what is kept; a
             # malformation that reduction removes (a crossing absorbed into a
             # neighbouring puncture) leaves a well-formed sequence, whose
             # value the test suite's independent routes check.
-            if j == last:
-                return CuttingSequence(n, tuple(_reduce_letters(out, start)))
-            letters = tuple(_reduce_letters(out, start))
-            _check_well_formed(n, letters)
+            _check_well_formed(n, letters, screened=True)
         except InvalidSequenceError as e:
             # the rewrite table missed a context; never continue silently
             raise RewriteError(f"generator action broke the sequence: {e}") from e
-    return s
+    return _sequence(n, letters) if word else s
 
 
 def _rewrite(letters: tuple[int, ...], i: int, positive: bool) -> tuple[list[int], int]:

@@ -16,7 +16,7 @@ import dataclasses
 import itertools
 import struct
 
-from .cutseq import DOWN, UP, CuttingSequence, _positions, _require_reduced, is_reduced
+from .cutseq import DOWN, UP, CuttingSequence, _positions, _require_reduced
 
 # A walk key is packed as big-endian unsigned 2-byte entries, so keys compare
 # as bytes (memcmp) exactly as the entry lists would, prefixes included.  An
@@ -32,28 +32,38 @@ class AmbiguityError(ValueError):
     """The comparison walks cannot decide: no disjoint realization exists."""
 
 
-def _walk_keys(letters, mod: int) -> tuple[list[int], list[int], tuple[bytes, ...]]:
+def _walk_keys(letters, mod: int) -> tuple[list[int], list[int], tuple[bytes, ...], bool]:
     """Everything the comparison walks read, in one pass over the letters.
 
-    Returns ``(holes, offsets, keys)``: the positions of the holes, in
-    order; for each hole, the byte offset in ``keys`` of the arrows after
-    it; and four packed arrays of one entry per arrow.  The arrow between x
-    and y has the turning entry ``e`` of a walk passing it rightwards
-    (y - x through an upper arrow, x - y through a lower one, modulo
-    mod = 2(n+1)) and ``mod - e`` of one passing it leftwards.  ``keys``
-    holds the rightward entries in sequence order, the leftward ones in
-    reverse order, and both again complemented.
+    Returns ``(holes, offsets, keys, reduced)``: the positions of the
+    holes, in order; for each hole, the byte offset in ``keys`` of the
+    arrows after it; four packed arrays of one entry per arrow; and whether
+    no reduction rule fires.  The arrow between x and y has the turning
+    entry ``e`` of a walk passing it rightwards (y - x through an upper
+    arrow, x - y through a lower one, modulo mod = 2(n+1)) and ``mod - e``
+    of one passing it leftwards.  ``keys`` holds the rightward entries in
+    sequence order, the leftward ones in reverse order, and both again
+    complemented.
 
     A walk from a crossing runs through a hole-free stretch to the nearest
     hole, so its key is a contiguous slice of one of the four arrays.
     Entries a walk reads are never 0 on a reduced sequence: a crossing and
     a hole differ by an odd doubled amount, and two crossings through one
     arrow would have to be equal, which the merge rule removes.
+
+    In well-formed ``letters`` every arrow lies between two numbers, so a
+    rule fires exactly at an arrow between numbers at most 1 apart
+    (absorption, merge) or holes 2 apart (straighten), or after a crossing
+    after an equal arrow (collapse).
     """
     holes, offsets, right = [], [], []
+    reduced = True
     for q, x in enumerate(letters):
         if x < 0:
-            e = letters[q + 1] - letters[q - 1]
+            a = letters[q - 1]
+            e = letters[q + 1] - a
+            if -2 <= e <= 2 and not (a & 1 and e in (2, -2)) or letters[q - 2] == x and a & 1:
+                reduced = False
             right.append(e % mod if x == UP else -e % mod)
         elif not x & 1:
             holes.append(q)
@@ -62,7 +72,7 @@ def _walk_keys(letters, mod: int) -> tuple[list[int], list[int], tuple[bytes, ..
     forward = struct.pack(fmt, *right)
     backward = struct.pack(fmt, *[mod - e for e in reversed(right)])
     keys = (forward, backward, forward.translate(_COMPLEMENT), backward.translate(_COMPLEMENT))
-    return holes, offsets, keys
+    return holes, offsets, keys, reduced
 
 
 def _entries(letters, holes, offsets, keys, stretches) -> list[tuple[int, bytes, bytes, int]]:
@@ -166,7 +176,7 @@ def _occurrence_order(s: CuttingSequence, k: int) -> tuple[int, ...]:
     positions = _positions(letters, 2 * k + 1) if k >= 0 else []
     if len(positions) < 2:
         return tuple(positions)
-    holes, offsets, keys = _walk_keys(letters, 2 * (s.n + 1))
+    holes, offsets, keys, _ = _walk_keys(letters, 2 * (s.n + 1))
     # a crossing is never first or last, so hole i is to its left
     stretches = itertools.groupby(positions, key=lambda p: bisect.bisect(holes, p) - 1)
     return tuple(_sort_crossings(_entries(letters, holes, offsets, keys, stretches)))
@@ -264,18 +274,18 @@ def validate(s: CuttingSequence) -> Validation:
     :func:`occurrence_order`.  Only reduced sequences denote diagrams
     canonically.
 
-    Reducedness is checked once.  One pass then packs every walk key (as in
-    :func:`occurrence_order`), every crossing is sorted once together with
-    the holes, which gives each interval's order and the whole real line's
-    at once, with only adjacent pairs checked, and each side's arcs are
-    checked by one walk along the real line with a stack
+    One pass decides reducedness and packs every walk key (as in
+    :func:`occurrence_order`).  Every crossing is then sorted once together
+    with the holes, which gives each interval's order and the whole real
+    line's at once, with only adjacent pairs checked, and each side's arcs
+    are checked by one walk along the real line with a stack
     (:func:`_crossing_arcs`): O(L log L) comparisons and O(L) steps for L
     letters, plus slicing the keys, linear in their total length in bytes.
     """
-    if not is_reduced(s):
-        return Validation(False, "sequence is not reduced")
     letters = s.letters
-    holes, offsets, keys = _walk_keys(letters, 2 * (s.n + 1))
+    holes, offsets, keys, reduced = _walk_keys(letters, 2 * (s.n + 1))
+    if not reduced:
+        return Validation(False, "sequence is not reduced")
     crossed = None
     for p, q in zip(holes, holes[1:]):
         if q == p + 1:

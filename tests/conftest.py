@@ -78,6 +78,36 @@ def reduce_sequence(s):
     return CuttingSequence(s.n, tuple(_reduce_letters(s.letters)))
 
 
+# The reduction rules' families, as with_a_reducible_window names them.
+REDUCIBLE_FAMILIES = ("absorption", "collapse", "merge", "straighten")
+
+
+def with_a_reducible_window(rng, letters, n, family=None):
+    """``letters`` with one window of a reduction rule put in: an arrow
+    made a collapse (v k v), a crossing a merge (k ^ k), or an arrow put
+    between two holes of adjacent values (straighten); or, asked for by
+    ``family``, an arrow and a crossing of a neighbouring value put after
+    a hole that an arrow follows (absorption: _k ^ k).  ``family`` names
+    the rule (absorption needs an arrow in ``letters``); without it one of
+    the first three is drawn."""
+    if family == "absorption":
+        p, x = rng.choice([(p, x) for p, x in enumerate(letters[:-1])
+                           if x >= 0 and not x & 1 and letters[p + 1] < 0])
+        crossing = x + 1 if x == 0 or rng.random() < 0.5 else x - 1
+        return letters[: p + 1] + (rng.choice((UP, DOWN)), crossing) + letters[p + 1 :]
+    spots = [(p, x) for p, x in enumerate(letters) if x < 0 or x & 1]
+    # two adjacent numbers are holes of adjacent values
+    spots += [(p, None) for p in range(1, len(letters)) if min(letters[p - 1 : p + 1]) >= 0]
+    if family is not None:
+        spots = [(p, x) for p, x in spots
+                 if family == ("straighten" if x is None else "collapse" if x < 0 else "merge")]
+    p, x = rng.choice(spots)
+    if x is None:
+        return letters[:p] + (rng.choice((UP, DOWN)),) + letters[p:]
+    arrow_or_crossing = 2 * rng.randint(0, n) + 1 if x < 0 else rng.choice((UP, DOWN))
+    return letters[:p] + (x, arrow_or_crossing, x) + letters[p + 1 :]
+
+
 def act_letters(w):
     """The sequence of ``w`` by every letter acting in turn on the trivial
     one: ``word_to_cutseq`` without its shortening, so that letters it

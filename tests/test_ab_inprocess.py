@@ -208,3 +208,50 @@ def test_parse_agreement_shows_what_each_side_gave(monkeypatch):
     for text in differ:
         assert "+1" in text
         assert "parent ('WordError', \"not an integer letter: '+1'\"), change (" in text
+
+
+def test_sequence_outcome_is_the_letters_or_the_error():
+    lib = local_libs("braidorder_parse_sequence")["parent"]
+    assert ab_inprocess.sequence_outcome(lib, "_0 ^ _2 _1 v _3") == (0, -1, 4, 2, -2, 6)
+    assert ab_inprocess.sequence_outcome(lib, "_0 ^ _+2 _1 v _3") == (
+        "InvalidSequenceError",
+        "bad token: '_+2'",
+    )
+    assert ab_inprocess.sequence_outcome(lib, "_0 _1 _2 ^") == (
+        "InvalidSequenceError",
+        "cannot infer strand count: no final hole",
+    )
+
+
+def test_random_sequence_texts_mix_images_faults_and_separators():
+    import random
+
+    rng = random.Random(4)
+    tokens = ["_0", "^", "_2", "_1", "v", "_3"]
+    texts = [ab_inprocess.random_sequence_text(rng, 2, tokens) for _ in range(600)]
+    assert any("\xa0" in t for t in texts) and any("\x1c" in t for t in texts)
+    for fault in ("_01", "+1", "9" * 4_301, "3", "_4"):
+        assert any(fault in t.split() for t in texts)
+    assert any(t.split()[-1] in ("^", "v", "2") for t in texts)
+    assert tokens == ["_0", "^", "_2", "_1", "v", "_3"]
+    assert 350 < sum(t.split() == tokens for t in texts) < 450
+
+
+def test_parse_sequence_agreement_of_a_checkout_with_itself():
+    libs = local_libs("braidorder_parse_sequence_self")
+    differ, refused = ab_inprocess.parse_sequence_agreement(libs, seed=3, count=300)
+    assert differ == []
+    assert 50 < refused < 200  # malformed texts and perturbed copies
+
+
+def test_parse_sequence_agreement_shows_what_each_side_gave(monkeypatch):
+    # the change side reads "_01" as the hole 1
+    libs = local_libs("braidorder_parse_sequence_zero")
+    cutseq = libs["change"]["braidorder.cutseq"]
+    right = cutseq.parse_sequence
+    monkeypatch.setattr(cutseq, "parse_sequence", lambda text: right(text.replace("_01", "_1")))
+    differ, _ = ab_inprocess.parse_sequence_agreement(libs, seed=3, count=600)
+    assert differ
+    for text in differ:
+        assert "_01" in text
+        assert "parent ('InvalidSequenceError', \"bad token: '_01'\"), change (" in text

@@ -23,7 +23,7 @@ from braidorder.canonical import (
     find_useful_subwords,
     leftmost_useful_subword,
 )
-from braidorder import canonical, cutseq, geometry
+from braidorder import canonical, cutseq
 from braidorder.cutseq import (
     UP,
     _check_well_formed,
@@ -169,8 +169,7 @@ def test_canonical_form_checks_no_sequence_for_reducedness(monkeypatch):
         calls.append(s)
         return is_reduced(s)
 
-    monkeypatch.setattr(cutseq, "is_reduced", counted)
-    monkeypatch.setattr(geometry, "is_reduced", counted)
+    monkeypatch.setattr(cutseq, "is_reduced", counted)  # geometry's refusal calls it too
     orders = []
     monkeypatch.setattr(
         canonical, "_occurrence_order", lambda s, k: orders.append(s) or _occurrence_order(s, k)
@@ -233,9 +232,9 @@ def test_iteration_cap_raises_cleanly(monkeypatch):
 def test_canonical_form_checks_each_generator_result_once(monkeypatch, rng):
     checks = []
 
-    def check(n, letters):
+    def check(n, letters, screened=False):
         checks.append(letters)
-        return _check_well_formed(n, letters)
+        return _check_well_formed(n, letters, screened)
 
     monkeypatch.setattr(cutseq, "_check_well_formed", check)
     slid = 0

@@ -131,6 +131,15 @@ def test_validate_text_starting_with_minus_is_not_an_option():
     assert "bad token" in r.stderr
 
 
+@pytest.mark.parametrize("token", ["_01", "01", "+1", "-1", "_+1", "1_0", "\u0663", "_"])
+def test_validate_refuses_a_token_outside_the_sequence_grammar(token):
+    # the README's grammar: ^, v, _k or k, k in ASCII digits, no leading zero
+    r = run("validate", "--", f"_0 ^ {token} v _1 _2 _3")
+    assert r.exit_code == 1
+    assert r.stderr.strip() == f"Error: bad token: {token!r}"
+    assert run("validate", "_0 ^ 1 v _1 _2 _3").exit_code == 0
+
+
 def test_equal():
     r = run("equal", "-n", "4", "1 2 -3 2 -1", "-2 -3 1 -2 1 3 2")
     assert r.exit_code == 0

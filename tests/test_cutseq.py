@@ -1,4 +1,8 @@
+import collections
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,8 +32,8 @@ from braidorder.cutseq import (
     trivial_sequence,
 )
 from braidorder.geometry import occurrence_order
-from braidorder.words import MAX_STRANDS, free_reduce
-from conftest import random_word, reduce_sequence
+from braidorder.words import MAX_STRANDS, _brief, _check_strands, _quoted, free_reduce
+from conftest import random_word, reduce_sequence, with_a_reducible_window
 
 
 def seq_of(text, n):
@@ -384,9 +388,9 @@ def test_first_of_several_faults_is_reported(n, letters, message):
 def test_each_generator_checks_its_result_once(monkeypatch):
     checks, reduced_checks = [], []
 
-    def check(n, letters):
+    def check(n, letters, screened=False):
         checks.append(letters)
-        return _check_well_formed(n, letters)
+        return _check_well_formed(n, letters, screened)
 
     def reduced(s):
         reduced_checks.append(s)
@@ -449,20 +453,6 @@ def test_an_unreduced_sequence_from_outside_is_refused(text):
         apply_generator(s, s.n - 1, 1)
     with pytest.raises(ValueError, match="generator index"):  # checked first
         apply_generator(s, s.n, 1)
-
-
-def with_a_reducible_window(rng, letters, n):
-    """``letters`` with one window of a reduction rule put in: an arrow
-    made a collapse (v k v), a crossing a merge (k ^ k), or an arrow put
-    between two holes of adjacent values (straighten)."""
-    spots = [(p, x) for p, x in enumerate(letters) if x < 0 or x & 1]
-    # two adjacent numbers are holes of adjacent values
-    spots += [(p, None) for p in range(1, len(letters)) if min(letters[p - 1 : p + 1]) >= 0]
-    p, x = rng.choice(spots)
-    if x is None:
-        return letters[:p] + (rng.choice((UP, DOWN)),) + letters[p:]
-    arrow_or_crossing = 2 * rng.randint(0, n) + 1 if x < 0 else rng.choice((UP, DOWN))
-    return letters[:p] + (x, arrow_or_crossing, x) + letters[p + 1 :]
 
 
 def test_seeded_unreduced_sequences_are_refused():
@@ -556,3 +546,204 @@ def test_malformed_result_under_word_to_cutseq_is_a_rewrite_error(monkeypatch):
     monkeypatch.setattr(cutseq, "_reduce_letters", broken)
     with pytest.raises(RewriteError, match="generator action broke the sequence"):
         word_to_cutseq(parse_word("1 1 1", 2))
+
+
+def reference_check_well_formed(n, letters):
+    """The constructor's check as one loop that tests each letter's type
+    and range where it meets the letter."""
+    _check_strands(n, InvalidSequenceError)
+    top = 2 * n + 2
+    if not letters or letters[0] != 0:
+        raise InvalidSequenceError("sequence must start with _0")
+    if letters[-1] != top:
+        raise InvalidSequenceError(f"sequence must end with _{n + 1}")
+    seen = set()
+    adjacency = None
+    prev = UP
+    for x in letters:
+        if type(x) is not int or x < DOWN:
+            raise InvalidSequenceError(f"not a cutting-sequence letter: {_brief(x)}")
+        if x < 0:
+            if prev < 0 and adjacency is None:
+                adjacency = "two adjacent arrows"
+        else:
+            if x & 1:
+                if x > top:
+                    raise InvalidSequenceError(f"gap value {_brief(x >> 1)} out of range 0..{n}")
+            elif x > top:
+                raise InvalidSequenceError(f"hole value {_brief(x >> 1)} out of range 0..{n + 1}")
+            elif x in seen:
+                raise InvalidSequenceError(f"hole {x >> 1} occurs more than once")
+            else:
+                seen.add(x)
+            if prev >= 0 and adjacency is None and (x & 1 or prev & 1 or abs(x - prev) != 2):
+                adjacency = (
+                    f"adjacent numbers {cutseq._format_letter(prev)} {cutseq._format_letter(x)} "
+                    "must be holes with adjacent values"
+                )
+        prev = x
+    if len(seen) < n + 2:
+        missing = [k for k in range(n + 2) if 2 * k not in seen]
+        if len(missing) > 8:
+            raise InvalidSequenceError(
+                f"missing holes: {len(missing)} of {n + 2}, the first 8: {missing[:8]}"
+            )
+        raise InvalidSequenceError(f"missing holes: {missing}")
+    if adjacency is not None:
+        raise InvalidSequenceError(adjacency)
+
+
+def reference_parse_sequence(text):
+    """Every token read on its own, then :func:`reference_check_well_formed`:
+    ``(n, letters)``."""
+    letters = []
+    known = {"^": UP, "v": DOWN}
+    for token in text.split():
+        x = known.get(token)
+        if x is None:
+            hole = token.startswith("_")
+            digits = token[1:] if hole else token
+            if not (digits.isascii() and digits.isdigit()) or (
+                digits[0] == "0" and len(digits) > 1
+            ):
+                raise InvalidSequenceError(f"bad token: {_quoted(token)}")
+            if len(digits) > cutseq._MAX_DIGITS:
+                raise InvalidSequenceError(
+                    f"bad token: {_quoted(token)}: value out of range for any strand count"
+                    f" up to {MAX_STRANDS}"
+                )
+            k = int(digits)
+            x = known[token] = 2 * k if hole else 2 * k + 1
+        letters.append(x)
+    if not letters or letters[-1] < 0 or letters[-1] & 1:
+        raise InvalidSequenceError("cannot infer strand count: no final hole")
+    n = (letters[-1] >> 1) - 1
+    reference_check_well_formed(n, tuple(letters))
+    return n, tuple(letters)
+
+
+def outcome(parse, text):
+    """``(n, letters)`` of what parse(text) gives, or its error's type and
+    message."""
+    try:
+        s = parse(text)
+    except Exception as e:
+        return type(e), str(e)
+    return s if isinstance(s, tuple) else (s.n, s.letters)
+
+
+# Tokens the spelling tables must refuse, each for the reason the reference
+# gives: a bare underline, leading zeros, signs, a digit separator, other
+# scripts' digits, a letter no table holds, and digit runs longer than any
+# value has, one past int()'s limit among them.
+SEQUENCE_FAULTS = ["_", "_01", "01", "_00", "+1", "-1", "_+1", "_-1", "1_0", "_1_0", "\u0663",
+                   "_\u0662", "\uff11", "_\uff12", "x", "V", "1" * (cutseq._MAX_DIGITS + 1),
+                   "_" + "2" * (cutseq._MAX_DIGITS + 1), "9" * 4_301]
+SEPARATORS = (" ", " ", " ", "  ", "\t", "\n", "\xa0", "\x1c")
+# Strand counts around the table cap and at the bound, drawn now and then.
+WIDE_STRANDS = (63, 64, 65, MAX_STRANDS)
+
+
+def faulty_sequence_text(rng, tokens, n):
+    """The tokens of a sequence on n strands with up to three faults: a
+    token of ``SEQUENCE_FAULTS`` put in, a value past n, a final token
+    that is not a hole, or a token dropped, swapped or repeated; joined by
+    ``SEPARATORS``."""
+    tokens = list(tokens)
+    for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+        fault = rng.randrange(6)
+        p = rng.randrange(len(tokens))
+        if fault == 0:
+            tokens.insert(p, rng.choice(SEQUENCE_FAULTS))
+        elif fault == 1:
+            tokens[p] = rng.choice((str(n + 1), f"_{n + 2}", str(rng.randint(n, 99_999)),
+                                    f"_{rng.randint(n + 2, 99_999)}"))
+        elif fault == 2:
+            tokens[-1] = rng.choice(("^", "v", str(n), "0", *SEQUENCE_FAULTS))
+        elif fault == 3:
+            del tokens[p]
+        elif fault == 4:
+            q = rng.randrange(len(tokens))
+            tokens[p], tokens[q] = tokens[q], tokens[p]
+        else:
+            tokens.insert(p, tokens[rng.randrange(len(tokens))])
+        if not tokens:
+            break
+    seps = [rng.choice(SEPARATORS) for _ in tokens]
+    text = "".join(sep + token for sep, token in zip(seps, tokens))
+    return text if rng.random() < 0.5 else text.strip()
+
+
+def test_parse_sequence_matches_the_reference_on_seeded_texts():
+    rng = random.Random(19)
+    wide = {}  # the images on the strand counts of WIDE_STRANDS, made once each
+    parsed, refused, on_wide = 0, 0, collections.Counter()
+    for j in range(6_000):
+        if j % 40 == 0:
+            n = WIDE_STRANDS[j // 40 % len(WIDE_STRANDS)]
+            if n not in wide:
+                wide[n] = format_sequence(word_to_cutseq(random_word(rng, n, 4, 1))).split()
+            tokens = wide[n]
+        else:
+            n = rng.randint(2, 12)
+            tokens = format_sequence(word_to_cutseq(random_word(rng, n, 10))).split()
+        text = faulty_sequence_text(rng, tokens, n)
+        got, want = outcome(parse_sequence, text), outcome(reference_parse_sequence, text)
+        assert got == want, text[:80]
+        if isinstance(got[1], tuple):
+            parsed += 1
+            on_wide[got[0]] += got[0] in WIDE_STRANDS
+        else:
+            refused += 1
+    assert parsed > 2_000 and refused > 2_000
+    assert all(on_wide[n] > 10 for n in WIDE_STRANDS)
+
+
+def test_sequence_spelling_tables_stay_within_their_bound():
+    top = cutseq._TABLE_STRANDS
+    for n in [*range(2, 300), 1_000, 4_321, MAX_STRANDS - 1, MAX_STRANDS]:
+        s = word_to_cutseq(BraidWord(n, (1, 1 - n)))
+        assert parse_sequence(format_sequence(s)) == s
+    info = cutseq._spellings.cache_info()
+    assert info.currsize <= top - 1
+    # the holes _0.._{n+1}, the crossings 0..n and the two arrows
+    assert len(cutseq._spellings(top)) == 2 * top + 5
+    assert sum(len(cutseq._spellings(m)) for m in range(2, top + 1)) == 4_473
+    assert cutseq._spellings.cache_info().currsize == info.currsize  # none built above
+    # and none at import
+    code = "import braidorder.cutseq as c; print(c._spellings.cache_info().currsize)"
+    src = Path(cutseq.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "0"
+
+
+# Letters the constructor must refuse, each for the reason the reference
+# gives: other types (a bool passes for an int, a float compares equal to
+# one), ints below the arrows, and values past every hole.
+BAD_LETTERS = [True, False, 1.0, 0.0, "1", None, -3, -(10**30), 10**30]
+
+
+def test_constructor_check_matches_the_reference_on_seeded_letters():
+    rng = random.Random(20)
+    refused = collections.Counter()
+    for _ in range(3_000):
+        n = rng.randint(2, 9)
+        letters = list(word_to_cutseq(random_word(rng, n, 10)).letters)
+        for _ in range(rng.choice((0, 1, 1, 2, 3))):
+            p = rng.randrange(len(letters))
+            fault = rng.randrange(4)
+            if fault == 0:
+                letters[p] = rng.choice(BAD_LETTERS)
+            elif fault == 1:
+                letters[p] = rng.choice((2 * n + 3, 2 * n + 4, 2 * rng.randint(0, n + 1)))
+            elif fault == 2:
+                letters.insert(p, rng.choice((UP, DOWN, 2 * rng.randint(0, 2 * n) + 1)))
+            else:
+                del letters[p]
+        letters = tuple(letters)
+        got = outcome(lambda t: CuttingSequence(n, t), letters)
+        want = outcome(lambda t: (n, reference_check_well_formed(n, t) or t), letters)
+        assert got == want, letters
+        refused[got[1].split(":")[0] if got[0] is InvalidSequenceError else "ok"] += 1
+    assert refused["ok"] > 500 and len(refused) > 8

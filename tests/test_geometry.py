@@ -17,6 +17,7 @@ and arrows, converted from the library's ints by ``conftest``'s :func:`as_object
 """
 
 import ast
+import collections
 import dataclasses
 import functools
 import itertools
@@ -35,7 +36,7 @@ from braidorder import (
     validate,
     word_to_cutseq,
 )
-from braidorder import BraidWord, geometry
+from braidorder import BraidWord, cutseq, geometry
 from braidorder.cutseq import (
     DOWN,
     UP,
@@ -46,7 +47,16 @@ from braidorder.cutseq import (
 )
 from braidorder.geometry import _sort_crossings, occurrence_order
 from braidorder.words import MAX_STRANDS
-from conftest import Gap, Hole, arcs_cross, as_ints, as_objects, random_word
+from conftest import (
+    REDUCIBLE_FAMILIES,
+    Gap,
+    Hole,
+    arcs_cross,
+    as_ints,
+    as_objects,
+    random_word,
+    with_a_reducible_window,
+)
 
 TWO_LETTER_IMAGE = "_0 ^ 1 v _3 v _1 v 3 ^ _2 ^ _4"
 
@@ -435,17 +445,59 @@ def test_named_crossing_arcs_really_cross(rng):
 
 
 def test_validate_checks_reducedness_once(monkeypatch):
-    calls = []
+    # reducedness is decided in the one pass that packs the walk keys
+    calls, passes = [], []
+    walk_keys = geometry._walk_keys
 
     def counted(s):
         calls.append(s)
         return is_reduced(s)
 
-    monkeypatch.setattr(geometry, "is_reduced", counted)
+    monkeypatch.setattr(cutseq, "is_reduced", counted)
+    monkeypatch.setattr(geometry, "_walk_keys", lambda *a: passes.append(a) or walk_keys(*a))
     s = word_to_cutseq(parse_word("1 2 -1 2 2 1 -2 1", 3))
     assert max(s.letters.count(2 * k + 1) for k in range(4)) >= 2
     assert validate(s).ok
-    assert len(calls) == 1
+    unreduced = parse_sequence("_0 ^ 0 ^ _1 _2 _3 _4")
+    assert validate(unreduced).reason == "sequence is not reduced"
+    assert calls == [] and len(passes) == 2
+
+
+def test_validate_finds_unreduced_exactly_where_a_window_fires():
+    # word images, each with a window of one rule family put in, and
+    # copies with arrows flipped or crossing values changed, some of which
+    # make a window fire
+    rng = random.Random(19)
+    families, perturbed_unreduced = collections.Counter(), 0
+    for j in range(1_200):
+        n = 2 + j % 7
+        s = word_to_cutseq(random_word(rng, n, max_len=8))
+        # an absorption and a collapse need an arrow, a merge a crossing,
+        # and a straighten two adjacent holes
+        letters = s.letters
+        usable = (
+            min(letters) < 0,
+            min(letters) < 0,
+            any(x >= 0 and x & 1 for x in letters),
+            any(min(pair) >= 0 for pair in zip(letters, letters[1:])),
+        )
+        family = rng.choice([f for f, ok in zip(REDUCIBLE_FAMILIES, usable) if ok])
+        t = CuttingSequence(n, with_a_reducible_window(rng, letters, n, family))
+        assert not is_reduced(t)
+        families[family] += 1
+        copy = list(letters)
+        for _ in range(rng.randint(1, 3)):
+            q = rng.randrange(len(copy))
+            if copy[q] < 0:
+                copy[q] = UP + DOWN - copy[q]
+            elif copy[q] & 1:
+                copy[q] = 2 * rng.randint(0, n) + 1
+        u = CuttingSequence(n, tuple(copy))
+        perturbed_unreduced += not is_reduced(u)
+        for x in (s, t, u):
+            assert (validate(x).reason == "sequence is not reduced") == (not is_reduced(x)), str(x)
+    assert min(families.values()) > 150
+    assert perturbed_unreduced > 100
 
 
 def all_entries(s):
@@ -453,7 +505,7 @@ def all_entries(s):
     all stretches at once from one set of packed keys, as ``validate`` builds
     them."""
     letters = s.letters
-    holes, offsets, keys = geometry._walk_keys(letters, 2 * (s.n + 1))
+    holes, offsets, keys, _ = geometry._walk_keys(letters, 2 * (s.n + 1))
     stretches = ((i, range(p + 2, q, 2)) for i, (p, q) in enumerate(zip(holes, holes[1:])))
     return geometry._entries(letters, holes, offsets, keys, stretches)
 
