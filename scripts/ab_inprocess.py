@@ -33,10 +33,12 @@ with ``parse_word`` at n = 2..12, a third of them with a malformed token (a
 zero, a leading zero, a "+", another script's digit, a long token, a digit
 run past 4,300 digits) and some with a letter out of range: the letters,
 or the error's type and message, must be the same.  So must those of
-``parse_sequence`` on 3,000 seeded sequence texts: word images on 2..12
-strands, and now and then on 63, 64 or 65 around the spelling tables' cap,
-half of them perturbed as above, a third with a malformed token put in, a
-value past n or a final token that is not a hole.
+``parse_letters`` on the same texts, the route of the command line when
+no strand count is given, and those of ``parse_sequence`` on 3,000 seeded
+sequence texts: word images on 2..12 strands, and now and then on 63, 64
+or 65 around the spelling tables' cap, half of them perturbed as above, a
+third with a malformed token put in, a value past n or a final token that
+is not a hole.
 
 It prints, for each operation kind, the milliseconds per operation on each
 side (the mean of the best times), the change/parent ratio, and the
@@ -240,17 +242,29 @@ def parse_outcome(lib: dict, text: str, n: int):
         return type(e).__name__, str(e)
 
 
-def parse_agreement(libs: dict[str, dict], seed: int, count: int = PARSE_TEXTS):
+def letters_outcome(lib: dict, text: str, n: int):
+    """``parse_letters(text)``'s letters, or its error's type and message.
+    It is the command line's route when no strand count is given, so ``n``,
+    the count the text was drawn for, goes unused."""
+    try:
+        return lib["braidorder.words"].parse_letters(text)
+    except Exception as e:  # an error, too, must be the same on both sides
+        return type(e).__name__, str(e)
+
+
+def parse_agreement(
+    libs: dict[str, dict], seed: int, count: int = PARSE_TEXTS, outcome=parse_outcome
+):
     """The texts, as ``n=..: repr(text)`` with both sides' outcomes, on which
-    the sides' :func:`parse_outcome` differs, and how many texts the parent
-    side refused."""
+    the sides' ``outcome`` (:func:`parse_outcome` or :func:`letters_outcome`)
+    differs, and how many texts the parent side refused."""
     rng = random.Random(f"{seed}:parse")
     differ = []
     refused = 0
     for j in range(count):
         n = 2 + j % 11
         text = random_text(rng, n)
-        parent, change = (parse_outcome(lib, text, n) for lib in libs.values())
+        parent, change = (outcome(lib, text, n) for lib in libs.values())
         refused += bool(parent) and isinstance(parent[0], str)
         if parent != change:
             differ.append(f"n={n}: {text[:60]!r}\n    parent {parent}, change {change}")
@@ -366,6 +380,13 @@ def main() -> int:
     )
     for text in differ_texts[:10]:
         print(f"  differs: {text}")
+    differ_letters, refused = parse_agreement(libs, args.seed, outcome=letters_outcome)
+    print(
+        f"parse_letters: {PARSE_TEXTS - len(differ_letters)} of {PARSE_TEXTS} texts alike, "
+        f"{refused} of them refused"
+    )
+    for text in differ_letters[:10]:
+        print(f"  differs: {text}")
     differ_sequence_texts, refused = parse_sequence_agreement(libs, args.seed)
     print(
         f"parse_sequence: {SEQUENCE_TEXTS - len(differ_sequence_texts)} of {SEQUENCE_TEXTS} "
@@ -428,7 +449,9 @@ def main() -> int:
     for side in SIDES:
         if wrong[side]:
             print(f"WRONG ANSWERS on the {side} side: {wrong[side]}")
-    differs = differ or differ_sequences or differ_texts or differ_sequence_texts
+    differs = (
+        differ or differ_sequences or differ_texts or differ_letters or differ_sequence_texts
+    )
     return 1 if differs or any(wrong.values()) else 0
 
 

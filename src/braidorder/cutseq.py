@@ -30,7 +30,7 @@ import dataclasses
 import functools
 
 from .words import MAX_STRANDS, BraidWord, SignResult, _brief, _check_strands, _quoted, free_reduce
-from .words import _TABLE_STRANDS
+from .words import _NUMERAL, _TABLE_STRANDS, _unchecked
 
 UP = -1
 DOWN = -2
@@ -126,16 +126,6 @@ def trivial_sequence(n: int) -> CuttingSequence:
     return CuttingSequence(n, tuple(range(0, 2 * n + 3, 2)))
 
 
-def _sequence(n: int, letters: tuple[int, ...]) -> CuttingSequence:
-    """A sequence of checked letters, built without the constructor's check.
-    ``object.__setattr__`` keeps the attributes inline: writing ``__dict__``
-    would make each instance 2.5 times the size."""
-    s = object.__new__(CuttingSequence)
-    object.__setattr__(s, "n", n)
-    object.__setattr__(s, "letters", letters)
-    return s
-
-
 @functools.cache
 def _spellings(n: int) -> dict[str, int]:
     """The letters valid on n strands, keyed by their one text form."""
@@ -156,7 +146,7 @@ def parse_sequence(text: str) -> CuttingSequence:
         letters = tuple(map(_spellings(n).get, tokens))
         if None not in letters:
             _check_well_formed(n, letters, screened=True)
-            return _sequence(n, letters)
+            return _unchecked(CuttingSequence, n, letters)
     letters = []
     known = dict(_TOKENS)  # a sequence repeats few distinct tokens: check each once
     for token in tokens:
@@ -164,12 +154,7 @@ def parse_sequence(text: str) -> CuttingSequence:
         if x is None:
             hole = token.startswith("_")
             digits = token[1:] if hole else token
-            # ASCII digits only: int() would also take signs, "_" separators
-            # and other scripts' digits, so one sequence would have many
-            # spellings; for the same reason a number has no leading zero
-            if not (digits.isascii() and digits.isdigit()) or (
-                digits[0] == "0" and len(digits) > 1
-            ):
+            if not _NUMERAL.fullmatch(digits):
                 raise InvalidSequenceError(f"bad token: {_quoted(token)}")
             if len(digits) > _MAX_DIGITS:  # and before int() refuses it
                 raise InvalidSequenceError(
@@ -342,7 +327,7 @@ def _act_word(s: CuttingSequence, word) -> CuttingSequence:
         except InvalidSequenceError as e:
             # the rewrite table missed a context; never continue silently
             raise RewriteError(f"generator action broke the sequence: {e}") from e
-    return _sequence(n, letters) if word else s
+    return _unchecked(CuttingSequence, n, letters) if word else s
 
 
 def _rewrite(letters: tuple[int, ...], i: int, positive: bool) -> tuple[list[int], int]:

@@ -43,7 +43,6 @@ from .cutseq import (
     RewriteError,
     _reduce_letters,
     _require_reduced,
-    puncture_walk,
 )
 from .geometry import AmbiguityError
 from .words import BraidWord, SignResult, WordError
@@ -160,38 +159,40 @@ def braid_equal(a: BraidWord, b: BraidWord) -> bool:
 # Plan: the two curve families agree along a common initial stretch and then
 # branch.  To compare them, the punctures visited inside the common stretch
 # stop being special (their underlines go away, so the walks may pass and
-# cancel through them), both sequences are re-reduced, and each is walked from
-# the start to its first remaining puncture.  The walk's record - one ray per
-# step, from the turning entries on the geometry module's doubled grid - is
-# compared ray by ray.  At the first difference: a lower excursion loses to
-# running straight into a puncture, which loses to an upper excursion; within
-# a common direction the larger turning entry belongs to the larger braid.
-# Corners the walk cannot decide raise AmbiguityError instead of guessing; the
-# suite cross-validates against compare() on random pairs.
+# cancel through them), the start of both sequences is re-reduced, and each is
+# walked from the start to its first remaining puncture.  The walk's record -
+# one ray per step, from the turning entries on the geometry module's doubled
+# grid - is compared ray by ray.  At the first difference: a lower excursion
+# loses to running straight into a puncture, which loses to an upper
+# excursion; within a common direction the larger turning entry belongs to the
+# larger braid.  Corners the walk cannot decide raise AmbiguityError instead
+# of guessing; the suite cross-validates against compare() on random pairs.
 
 
-def _strip_and_reduce(letters, common: int):
-    """Strip the holes before position ``common`` (the leading endpoint keeps
-    its underline): a stripped puncture x is stored as ~x, which the reduction
-    rules treat like a crossing that only collapses and walks run through.
-    Reduce the result with the sequence rules."""
-    return _reduce_letters(
-        ~x if 0 < p < common and x >= 0 and not x & 1 else x
-        for p, x in enumerate(letters)
-    )
+def _walk_steps(letters, common: int, n: int):
+    """The rays of the start curve segment's steps, from ``_0`` to the first
+    puncture left after it once the holes before position ``common`` but
+    ``_0`` are stripped and the letters reduced.  A stripped puncture x is
+    stored as ~x, which the reduction rules treat like a crossing that only
+    collapses.  No rule removes an underlined puncture or fires with one in
+    the middle of its window, so only the letters up to the first hole at
+    or after ``common`` are reduced: they reduce as the whole would, and
+    that hole ends the segment.
 
-
-def _walk_steps(items, n):
-    """The rays of the start curve segment's steps, from the start letter to
-    the first puncture after it, inclusive.  A ray is the direction a step
-    leaves its start point, as an angle in half-unit turns, with
-    mod = 2(n + 1): 0 = a straight move east along the axis, mod = west,
-    the turning entry (in (0, mod), larger = reaching further, cyclically)
-    for an excursion into the upper half plane, and mod + the entry for
-    one into the lower half plane.  Distinct steps have distinct rays."""
+    A ray is the direction a step leaves its start point, as an angle in
+    half-unit turns, with mod = 2(n + 1): 0 = a straight move east along
+    the axis, mod = west, the turning entry (in (0, mod), larger = reaching
+    further, cyclically) for an excursion into the upper half plane, and
+    mod + the entry for one into the lower half plane.  Distinct steps have
+    distinct rays."""
+    end = common
+    while letters[end] < 0 or letters[end] & 1:
+        end += 1
+    segment = [0] + [x if x < 0 or x & 1 else ~x for x in letters[1:common]]
+    segment += letters[common : end + 1]
     mod = 2 * (n + 1)
     # stripped punctures read as their values; then only arrows are negative
-    walk = [~x if x < DOWN else x for x in puncture_walk(items, 0, 1)]
+    walk = [~x if x < DOWN else x for x in _reduce_letters(segment)]
     rays = []
     j = 0
     while j + 1 < len(walk):
@@ -211,10 +212,10 @@ def _walk_steps(items, n):
 def compare_sequences(s: CuttingSequence, t: CuttingSequence) -> Ordering:
     """Decide the order of the braids encoded by two reduced sequences.
 
-    Underlines are stripped within the longest common prefix, both sequences
-    are reduced again, and each start segment is walked step by step up to
-    its first surviving puncture.  At the first differing step the two curves
-    part ways; whichever departs further counterclockwise, measured from the
+    Underlines are stripped within the longest common prefix, and each start
+    segment is reduced again and walked step by step up to its first
+    surviving puncture.  At the first differing step the two curves part
+    ways; whichever departs further counterclockwise, measured from the
     ray pointing back along the shared arrival, branches off on the upper
     side and is the larger braid.
     """
@@ -229,8 +230,8 @@ def compare_sequences(s: CuttingSequence, t: CuttingSequence) -> Ordering:
             break
         common += 1
     mod = 2 * (s.n + 1)
-    pa = _walk_steps(_strip_and_reduce(s.letters, common), s.n)
-    pb = _walk_steps(_strip_and_reduce(t.letters, common), t.n)
+    pa = _walk_steps(s.letters, common, s.n)
+    pb = _walk_steps(t.letters, common, t.n)
     d = next((i for i, (x, y) in enumerate(zip(pa, pb)) if x != y), None)
     if d is None:
         # One walk ending where the other continues would put the same

@@ -39,14 +39,15 @@ class BraidWord:
 
     def __post_init__(self):
         # Only words built from outside are checked here: parse_word, and
-        # free_reduce, inverse and * on checked words, build theirs by _word.
+        # free_reduce, inverse and * on checked words, build theirs by
+        # _unchecked.
         _check_strands(self.n, WordError)
         letters = tuple(self.letters)
         top = self.n - 1
         # a plain loop: screening with set(map(type, ...)), min and max
         # took 2-3 times as long on words of 4 to 100 letters.  The check
-        # costs 1.5 us on 10 letters and 3.2 us on 40, _word 0.4-0.5 us
-        # (CPython 3.11, Intel Xeon).
+        # costs 1.5 us on 10 letters and 3.2 us on 40, _unchecked about
+        # 0.4 us (CPython 3.11, Intel Xeon).
         for k in letters:
             if type(k) is not int:  # a bool would pass as 1, a float reach sign
                 raise WordError(f"not an integer letter: {_brief(k)}")
@@ -59,10 +60,10 @@ class BraidWord:
             return NotImplemented
         if self.n != other.n:
             raise WordError(f"strand count mismatch: {self.n} vs {other.n}")
-        return _word(self.n, self.letters + other.letters)
+        return _unchecked(BraidWord, self.n, self.letters + other.letters)
 
     def inverse(self) -> "BraidWord":
-        return _word(self.n, tuple(-k for k in reversed(self.letters)))
+        return _unchecked(BraidWord, self.n, tuple(-k for k in reversed(self.letters)))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -71,15 +72,17 @@ class BraidWord:
         return format_word(self)
 
 
-def _word(n: int, letters: tuple[int, ...]) -> BraidWord:
-    """A word of a strand count and letters already known valid, built
-    without ``BraidWord``'s check; writing the instance dict costs half as
-    much as two ``object.__setattr__`` calls."""
-    w = object.__new__(BraidWord)
-    fields = w.__dict__
-    fields["n"] = n
-    fields["letters"] = letters
-    return w
+_new, _setattr = object.__new__, object.__setattr__  # bound once: a build costs a fifth less
+
+
+def _unchecked(cls, n: int, letters: tuple[int, ...]):
+    """A ``cls`` (``BraidWord`` or ``CuttingSequence``) of a strand count and
+    letters known valid, without the constructor's check.  ``_setattr`` keeps
+    the attributes inline, where writing ``__dict__`` would add a dict."""
+    obj = _new(cls)
+    _setattr(obj, "n", n)
+    _setattr(obj, "letters", letters)
+    return obj
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,16 +103,10 @@ class SignResult:
         return f"{self.kind} i={self.index}"
 
 
-# A letter is an optional "-" and ASCII digits without a leading zero, so a
-# word has one text form: int() would also take "+1", "1_0", "01" and other
-# scripts' digits.  On a text of ASCII digits, "-" and whitespace only, int()
-# takes exactly the tokens -?[0-9]+, so a leading zero is all that is left to
-# refuse; it is searched for only in a text holding a "0".  On 10-40-letter
-# words this costs about 1 us, a third of one structured match of the text
-# (CPython 3.11, Intel Xeon).
-_LETTER = re.compile(r"-?(?:0|[1-9][0-9]*)")
-_CHARS = re.compile(r"[-0-9\s]*")
-_LEADING_ZERO = re.compile(r"(?<![0-9])0[0-9]")
+# A number is ASCII digits without a leading zero, so a letter ("-" and a
+# number) or a sequence token has one text form: int() would also take
+# "+1", "1_0", "01" and other scripts' digits.
+_NUMERAL = re.compile(r"0|[1-9][0-9]*")
 
 
 def _quoted(token: str) -> str:
@@ -129,19 +126,6 @@ def _brief(x) -> str:
     return repr(x)
 
 
-def parse_letters(text: str) -> tuple[int, ...]:
-    """The signed indices of whitespace-separated letters ("1 -2")."""
-    if _CHARS.fullmatch(text) and not ("0" in text and _LEADING_ZERO.search(text)):
-        try:
-            return tuple(map(int, text.split()))
-        except ValueError:  # a misplaced "-", or more than 4,300 digits
-            pass
-    bad = next((t for t in text.split() if not _LETTER.fullmatch(t)), None)
-    if bad is None:
-        raise WordError(f"letter out of range for any strand count up to {MAX_STRANDS}")
-    raise WordError(f"not an integer letter: {_quoted(bad)}")
-
-
 # Texts on more strands use the table of this many, so their letters of
 # this index and up take the full route: at most 63 tables are built, with
 # 4,032 spellings in all.
@@ -152,6 +136,23 @@ _TABLE_STRANDS = 64
 def _spellings(n: int) -> dict[str, int]:
     """The letters valid on n strands, keyed by their one text form."""
     return {str(k): k for j in range(1, n) for k in (j, -j)}
+
+
+def parse_letters(text: str) -> tuple[int, ...]:
+    """The signed indices of whitespace-separated letters ("1 -2"): each
+    token looked up in the table of 64 strands, or on a miss checked
+    against ``_NUMERAL`` and read by ``int()``."""
+    tokens = text.split()
+    letters = tuple(map(_spellings(_TABLE_STRANDS).get, tokens))
+    if None not in letters:
+        return letters
+    for token in tokens:
+        if not _NUMERAL.fullmatch(token.removeprefix("-")):
+            raise WordError(f"not an integer letter: {_quoted(token)}")
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:  # more than int()'s 4,300 digits
+        raise WordError(f"letter out of range for any strand count up to {MAX_STRANDS}") from None
 
 
 def parse_word(text: str, strands: int) -> BraidWord:
@@ -172,7 +173,7 @@ def parse_word(text: str, strands: int) -> BraidWord:
     letters = tuple(map(table.get, text.split()))
     if None in letters:
         return BraidWord(strands, parse_letters(text))
-    return _word(strands, letters)
+    return _unchecked(BraidWord, strands, letters)
 
 
 def format_word(w: BraidWord) -> str:
@@ -213,7 +214,7 @@ def free_reduce(w: BraidWord) -> BraidWord:
                 keep[p] = keep[j] = False
                 continue
         same.append(j)
-    return _word(w.n, tuple(k for k, kept in zip(letters, keep) if kept))
+    return _unchecked(BraidWord, w.n, tuple(k for k, kept in zip(letters, keep) if kept))
 
 
 def permutation_image(w: BraidWord) -> tuple[int, ...]:

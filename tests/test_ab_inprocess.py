@@ -210,6 +210,39 @@ def test_parse_agreement_shows_what_each_side_gave(monkeypatch):
         assert "parent ('WordError', \"not an integer letter: '+1'\"), change (" in text
 
 
+def test_letters_outcome_is_the_letters_or_the_error():
+    lib = local_libs("braidorder_letters")["parent"]
+    assert ab_inprocess.letters_outcome(lib, "1 -12", 3) == (1, -12)
+    assert ab_inprocess.letters_outcome(lib, "3 +1", 3) == (
+        "WordError",
+        "not an integer letter: '+1'",
+    )
+
+
+def test_parse_letters_agreement_of_a_checkout_with_itself():
+    libs = local_libs("braidorder_letters_self")
+    differ, refused = ab_inprocess.parse_agreement(
+        libs, seed=3, count=300, outcome=ab_inprocess.letters_outcome
+    )
+    assert differ == []
+    assert 40 < refused < 150  # malformed texts only: no letter is out of range
+
+
+def test_parse_letters_agreement_shows_what_each_side_gave(monkeypatch):
+    # the change side reads "+1" as the letter 1
+    libs = local_libs("braidorder_letters_plus")
+    words = libs["change"]["braidorder.words"]
+    right = words.parse_letters
+    monkeypatch.setattr(words, "parse_letters", lambda text: right(text.replace("+1", "1")))
+    differ, _ = ab_inprocess.parse_agreement(
+        libs, seed=3, count=300, outcome=ab_inprocess.letters_outcome
+    )
+    assert differ
+    for text in differ:
+        assert "+1" in text
+        assert "parent ('WordError', \"not an integer letter: '+1'\"), change (" in text
+
+
 def test_sequence_outcome_is_the_letters_or_the_error():
     lib = local_libs("braidorder_parse_sequence")["parent"]
     assert ab_inprocess.sequence_outcome(lib, "_0 ^ _2 _1 v _3") == (0, -1, 4, 2, -2, 6)

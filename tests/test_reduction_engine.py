@@ -1,7 +1,7 @@
 """One reduction engine for sequences, order walks and slide arcs.
 
-``cutseq._reduce_letters`` reduces cutting sequences, the stripped sequences
-that ``order.compare_sequences`` walks, and the slide arcs of
+``cutseq._reduce_letters`` reduces cutting sequences, the stripped start
+segments that ``order.compare_sequences`` walks, and the slide arcs of
 ``canonical.emit_slide_word``.  The loops it replaced are kept below as
 references - the marked-letter reduction of the order walk, the fragment
 straightening of the slide arcs and the rule table as it stood before a
@@ -11,16 +11,17 @@ and ``Stripped(k)`` objects and arrows, converted from and to the
 library's ints by ``conftest``'s :func:`as_objects` and :func:`as_ints`.
 """
 
+import contextlib
 import dataclasses
 import itertools
 import random
 
 import pytest
 
-from braidorder import BraidWord, CuttingSequence, word_to_cutseq
+from braidorder import BraidWord, CuttingSequence, order, word_to_cutseq
 from braidorder.canonical import CanonicalError, emit_slide_word
 from braidorder.cutseq import DOWN, UP, _reduce_letters, _try_rule, is_reduced
-from braidorder.order import _strip_and_reduce
+from braidorder.geometry import AmbiguityError
 from conftest import Gap, Hole, Stripped, as_ints, as_objects, random_word
 
 # --- references ----------------------------------------------------------------
@@ -200,16 +201,29 @@ def test_stripped_puncture_only_collapses():
 
 
 @pytest.mark.parametrize("n", range(2, 9))
-def test_stripping_matches_marked_reduction(n):
-    """Word images stripped before 0, 1, a random prefix length and the full
-    length reduce to the same letters as under the marked-letter rules."""
+def test_stripping_matches_marked_reduction(n, monkeypatch):
+    """The segment the order walk reduces, of word images stripped before
+    position 1, a random one and the last, is the marked-letter reduction
+    of the whole image cut at its first underlined puncture after _0.
+    ``compare_sequences`` strips only before positions 1..len-1: both
+    sequences start with _0 and end with the one _{n+1}."""
+    segments = []
+
+    def recorded(letters):
+        segments.append(_reduce_letters(letters))
+        return segments[-1]
+
+    monkeypatch.setattr(order, "_reduce_letters", recorded)
     rng = random.Random(7000 + n)
     for _ in range(60):
         letters = word_to_cutseq(random_word(rng, n)).letters
-        for strip in (0, 1, rng.randint(0, len(letters)), len(letters)):
-            got = [_as_marked(x) for x in as_objects(_strip_and_reduce(letters, strip))]
-            want = _reduce_marked(_mark(as_objects(letters), strip))
-            assert got == want, (letters, strip)
+        for common in (1, rng.randint(1, len(letters) - 1), len(letters) - 1):
+            with contextlib.suppress(AmbiguityError):  # the segment is reduced first
+                order._walk_steps(letters, common, n)
+            got = [_as_marked(x) for x in as_objects(segments.pop())]
+            want = _reduce_marked(_mark(as_objects(letters), common))
+            end = next(i for i, x in enumerate(want[1:], 1) if getattr(x, "underlined", False))
+            assert got == want[: end + 1], (letters, common)
 
 
 def test_slide_fragments_match_straighten():

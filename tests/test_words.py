@@ -164,17 +164,39 @@ def test_product_with_a_non_word_raises_type_error(product):
         product(parse_word("1", 3))
 
 
-def outcome(parse, text, n):
-    """The word parse(text, n) gives, or its error's type and message."""
+def outcome(parse, *args):
+    """What parse(*args) gives, or its error's type and message."""
     try:
-        return parse(text, n)
+        return parse(*args)
     except Exception as e:
         return type(e), str(e)
 
 
+LETTER = re.compile(r"-?(0|[1-9][0-9]*)")
+
+
+def reference_letters(text):
+    """The letters of ``text`` read token by token: each token must match
+    ``LETTER``, and then each is read by int(), which refuses a digit run
+    past 4,300 digits."""
+    tokens = text.split()
+    for token in tokens:
+        if not LETTER.fullmatch(token):
+            raise WordError(f"not an integer letter: {words._quoted(token)}")
+    letters = []
+    for token in tokens:
+        try:
+            letters.append(int(token))
+        except ValueError:
+            raise WordError(
+                f"letter out of range for any strand count up to {MAX_STRANDS}"
+            ) from None
+    return tuple(letters)
+
+
 def reference_parse(text, n):
-    """Every letter read by parse_letters, then checked by BraidWord."""
-    return BraidWord(n, parse_letters(text))
+    """Every letter read by :func:`reference_letters`, then checked by BraidWord."""
+    return BraidWord(n, reference_letters(text))
 
 
 # Tokens the spelling table must refuse, each for the reason the reference
@@ -200,13 +222,20 @@ def random_text(rng):
     return text if rng.random() < 0.5 else text.strip()
 
 
-def test_parse_word_matches_the_reference_on_seeded_texts():
+def seeded_texts():
+    """6,000 seeded :func:`random_text` texts, each with the strand counts
+    to parse it on: 2, one of 3..11, and 12."""
     rng = random.Random(18)
-    parsed = errors = refused_at_a_smaller_n = 0
     for _ in range(6_000):
         text = random_text(rng)
+        yield text, (2, rng.randint(3, 11), 12)
+
+
+def test_parse_word_matches_the_reference_on_seeded_texts():
+    parsed = errors = refused_at_a_smaller_n = 0
+    for text, strands in seeded_texts():
         seen = []
-        for n in (2, rng.randint(3, 11), 12):
+        for n in strands:
             got, want = outcome(parse_word, text, n), outcome(reference_parse, text, n)
             assert got == want, (text[:80], n)
             if isinstance(got, BraidWord):
@@ -217,6 +246,19 @@ def test_parse_word_matches_the_reference_on_seeded_texts():
             seen.append(isinstance(got, BraidWord))
         refused_at_a_smaller_n += seen[2] and not seen[0]
     assert parsed > 4_000 and errors > 10_000 and refused_at_a_smaller_n > 1_000
+
+
+def test_parse_letters_matches_the_reference_on_seeded_texts():
+    parsed = refused = 0
+    for text, _ in seeded_texts():
+        got = outcome(parse_letters, text)
+        assert got == outcome(reference_letters, text), text[:80]
+        if got and type(got[0]) is type:
+            refused += 1
+        else:
+            assert all(type(k) is int for k in got)
+            parsed += 1
+    assert parsed > 3_000 and refused > 2_500
 
 
 @pytest.mark.parametrize("n", [1, 0, -3, MAX_STRANDS + 1, 10**30, 2.0, True, "3", None])
