@@ -1,14 +1,47 @@
 """Shared test helpers: seeded word sampling, identity-preserving rewrites,
-and the letter objects the reference implementations read."""
+the letter objects the reference implementations read, and a command line
+runner."""
 
+import contextlib
 import dataclasses
+import io
 import itertools
 import random
 
 import pytest
 
 from braidorder import BraidWord, CuttingSequence
+from braidorder.cli import main
 from braidorder.cutseq import DOWN, UP, _reduce_letters, apply_generator, trivial_sequence
+
+
+@dataclasses.dataclass(frozen=True)
+class CliResult:
+    """What one ``braidorder`` call did.  ``output`` is stdout followed by
+    stderr (a call writes to one of them); ``exception`` is the uncaught
+    exception, or a ``SystemExit`` for a nonzero exit code."""
+
+    exit_code: int
+    output: str
+    stdout: str
+    stderr: str
+    exception: BaseException | None
+
+
+def run_cli(*args):
+    """Run ``braidorder ARGS`` in this process with its streams captured.
+    An uncaught exception exits 1, as it would through the interpreter."""
+    out, err = io.StringIO(), io.StringIO()
+    exception = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(args))
+        except Exception as exc:
+            code, exception = 1, exc
+    if code and exception is None:
+        exception = SystemExit(code)
+    stdout, stderr = out.getvalue(), err.getvalue()
+    return CliResult(code, stdout + stderr, stdout, stderr, exception)
 
 
 # Strand-count ranges of the seeded law tests: the small regime first (its

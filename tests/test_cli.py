@@ -1,17 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from braidorder import cli
 from braidorder.canonical import CanonicalError
-from braidorder.cli import main
 from braidorder.cutseq import RewriteError
 from braidorder.geometry import AmbiguityError
-
-
-def run(*args):
-    return CliRunner().invoke(main, args)
+from conftest import run_cli as run
 
 
 def test_sign_plain():
@@ -170,6 +169,56 @@ def test_words_starting_with_minus_are_not_options():
     assert r.output.strip() == "true"
 
 
+@pytest.mark.parametrize(
+    "spelling", [("-n", "{}"), ("-n{}",), ("--strands", "{}"), ("--strands={}",)]
+)
+def test_strand_count_spellings_before_and_after_the_word(spelling):
+    # "2" needs 3 strands, so the count is seen to be read
+    out_of_range = "Error: letter 2 out of range for 2 strands\n"
+    for n, expected in [(3, (0, "positive i=2\n")), (2, (1, out_of_range))]:
+        option = [part.format(n) for part in spelling]
+        for args in (["sign", *option, "2"], ["sign", "2", *option]):
+            r = run(*args)
+            assert (r.exit_code, r.output) == expected, args
+
+
+def test_json_after_the_word():
+    r = run("sign", "1", "--json")
+    assert (r.exit_code, json.loads(r.output)) == (0, {"kind": "positive", "index": 1})
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("sign", "--", "-n"), "not an integer letter: '-n'"),
+        (("sign", "-x"), "not an integer letter: '-x'"),
+        (("validate", "-x"), "bad token: '-x'"),
+    ],
+)
+def test_dash_leading_tokens_that_are_no_option_are_arguments(args, message):
+    r = run(*args)
+    assert (r.exit_code, r.stdout, r.stderr) == (1, "", f"Error: {message}\n")
+
+
+def test_a_short_option_cluster_is_one_argument():
+    r = run("sign", "-1n")
+    assert (r.exit_code, r.stderr) == (1, "Error: not an integer letter: '-1n'\n")
+
+
+def test_no_arguments_exit_2_naming_every_command():
+    r = run()
+    assert r.exit_code == 2
+    for command in ("sign", "compare", "canonical", "cutseq", "validate", "equal"):
+        assert f"\n  {command} " in r.output, command
+
+
+@pytest.mark.parametrize("args", [("--help",), ("sign", "--help"), ("validate", "x", "--help")])
+def test_help_exits_0_on_stdout(args):
+    r = run(*args)
+    assert (r.exit_code, r.stderr) == (0, "")
+    assert r.stdout.startswith("Usage: braidorder ")
+
+
 def test_parse_error_exits_nonzero():
     r = run("sign", "-n", "2", "3")
     assert r.exit_code == 1
@@ -253,14 +302,20 @@ def test_huge_number_exits_1_with_a_short_message(args):
         (("compare", "1", "2", "3"), "Got unexpected extra argument (3)"),
         (("frobnicate", "1"), "No such command 'frobnicate'."),
         (("sign", "-n", "x", "1"), "Invalid value for '-n' / '--strands': 'x' is not a valid integer."),
+        (("sign", "1", "--strands"), "Option '--strands' requires an argument."),
+        # validate takes no -n, so "-n" is its argument and "3" one too many
+        (("validate", "-n", "3"), "Got unexpected extra argument (3)"),
     ],
-    ids=["missing argument", "extra argument", "unknown subcommand", "non-integer -n"],
+    ids=[
+        "missing argument", "extra argument", "unknown subcommand", "non-integer -n", "no -n value",
+        "-n of validate",
+    ],
 )
 def test_usage_errors_exit_2_with_clicks_message(args, message):
     r = run(*args)
     assert r.exit_code == 2
     assert r.stdout == ""
-    assert r.stderr.startswith("Usage: main ")
+    assert r.stderr.startswith("Usage: braidorder ")
     assert r.stderr.endswith(f"\n\nError: {message}\n")
 
 
@@ -281,3 +336,20 @@ def test_many_missing_holes_exit_1_with_a_short_message():
     assert r.exit_code == 1
     assert "missing holes: 10000 of 10002, the first 8: [1, 2, 3, 4, 5, 6, 7, 8]" in r.stderr
     assert len(r.stderr) < 120
+
+
+def test_import_adds_only_the_standard_library():
+    """Each command pays for what ``braidorder.cli`` imports.  The baseline
+    is a bare interpreter, whose site hooks may import packages of their own."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+    def modules(imports):
+        code = f"{imports}import sys; print(*sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        return set(done.stdout.split())
+
+    added = modules("import braidorder, braidorder.cli; ") - modules("")
+    assert "braidorder.cli" in added
+    foreign = {name.partition(".")[0] for name in added} - {"braidorder"} - sys.stdlib_module_names
+    assert not foreign, sorted(foreign)

@@ -9,10 +9,8 @@ import re
 import shlex
 from pathlib import Path
 
-from click.testing import CliRunner
-
 import braidorder
-from braidorder.cli import main
+from conftest import run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
@@ -37,7 +35,7 @@ def test_readme_command_lines_print_what_they_say():
     for line in lines:
         command, _, expected = line.partition(" #")
         expected = expected.strip()
-        r = CliRunner().invoke(main, shlex.split(command)[1:])
+        r = run_cli(*shlex.split(command)[1:])
         assert r.exit_code == 0, line
         out = r.output.strip()
         if expected.endswith("..."):

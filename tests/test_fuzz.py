@@ -9,7 +9,6 @@ The runs are derandomized and use no example database, so every run draws
 the same examples.
 """
 
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +24,7 @@ from braidorder import (
     validate,
     word_to_cutseq,
 )
-from braidorder.cli import main
+from conftest import run_cli
 
 FUZZ = settings(derandomize=True, max_examples=120, database=None, deadline=None)
 
@@ -108,7 +107,7 @@ def test_cli_validate_exits_zero_or_one_without_traceback(text, as_json):
     # spell a long option of the command ("--json", "--help") needs "--"
     args = ["validate", "--json"] if as_json else ["validate"]
     args += ["--", text] if text.startswith("--") else [text]
-    r = CliRunner().invoke(main, args)
+    r = run_cli(*args)
     assert r.exit_code in (0, 1), r.output
     assert r.exception is None or isinstance(r.exception, SystemExit), repr(r.exception)
     assert "Traceback" not in r.output
@@ -138,11 +137,10 @@ def _invoke_cli(command, texts, strands, as_json):
     if as_json:
         args.append("--json")
     # as for validate, "--" only when a text could be read as an option:
-    # one starting with "--", or a dash followed by a cluster that holds
-    # the short option "n" ("-1 n" reads as "-1", " ", "-n")
-    if any(t.startswith("--") or (t.startswith("-") and "n" in t) for t in texts):
+    # one starting with "--" or "-n" ("-1 n" is a word, not a cluster)
+    if any(t.startswith(("--", "-n")) for t in texts):
         args.append("--")
-    r = CliRunner().invoke(main, args + list(texts))
+    r = run_cli(*args, *texts)
     assert r.exit_code in (0, 1), r.output
     assert r.exception is None or isinstance(r.exception, SystemExit), repr(r.exception)
     assert "Traceback" not in r.output
