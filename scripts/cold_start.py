@@ -9,7 +9,9 @@ goes first alternating from round to round.  A start is timed by
 the environment (the checkout's ``src/`` on ``PYTHONPATH``) and the working
 directory are the benchmark's; each side starts once untimed first.  It
 prints each side's best time (what ``setup_s`` reports) and quartiles, the
-change/parent ratio of the best times, and whether
+change/parent ratio of the best times, the modules ``COLD_START_CODE`` adds
+over a bare interpreter on each side (so a change in the time names its
+cause), and whether
 ``PYTHONDONTWRITEBYTECODE`` is set: then no bytecode cache is written, each
 start compiles all of ``src/braidorder``, and the size of the source shows
 in the time.  Standard library only; ``bench/`` is read, never written.
@@ -21,6 +23,7 @@ import argparse
 import importlib.util
 import os
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 
@@ -34,6 +37,33 @@ def load_bench_run(checkout: Path, side: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def added_modules(src: Path, code: str) -> list[str]:
+    """The modules that running ``code`` with ``src`` first on ``PYTHONPATH``
+    adds to those of a bare interpreter, sorted.  The bare interpreter's
+    site hooks may import packages of their own; only the difference is
+    ``code``'s."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+
+    def modules(prefix: str) -> set[str]:
+        done = subprocess.run([sys.executable, "-c", f"{prefix}\nimport sys; print(*sys.modules)"],
+                              env=env, capture_output=True, text=True)
+        if done.returncode:
+            raise RuntimeError(done.stderr)
+        return set(done.stdout.split())
+
+    return sorted(modules(code) - modules(""))
+
+
+def module_lines(added: dict[str, list[str]]) -> list[str]:
+    """Each side's added modules, then those only one side adds."""
+    lines = [f"{side} adds {len(added[side])}: {' '.join(added[side])}" for side in SIDES]
+    for side, other in zip(SIDES, SIDES[::-1]):
+        only = [name for name in added[side] if name not in added[other]]
+        lines.append(f"only {side}: {' '.join(only) or '(none)'}")
+    return lines
 
 
 def summary(times: dict[str, list[float]]) -> tuple[list[tuple], float]:
@@ -68,6 +98,10 @@ def main() -> int:
         ms = [f"{t * 1e3:>{w}.1f}" for t, w in zip(seconds, (8, 8, 10, 8))]
         print(f"{side:<8}", *ms)
     print(f"change/parent, best times: {ratio:.3f}")
+    print("modules added over a bare interpreter:")
+    code = {side: bench.COLD_START_CODE for side, bench in benches.items()}
+    added = {side: added_modules(getattr(args, side).resolve() / "src", code[side]) for side in SIDES}
+    print(*module_lines(added), sep="\n")
     return 0
 
 

@@ -13,7 +13,6 @@ sigma-consistent words present the same braid.
 
 from __future__ import annotations
 
-import dataclasses
 
 from .cutseq import (
     DOWN,
@@ -28,7 +27,7 @@ from .cutseq import (
     word_to_cutseq,
 )
 from .geometry import _occurrence_order
-from .words import BraidWord, SignResult
+from .words import BraidWord, SignResult, _setattr, _Value
 
 
 _SLIDES_PER_CROSSING = 10  # the slide cap: this * (1 + crossings of the first diagram)
@@ -153,11 +152,13 @@ def _less_complex(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a[0] > b[0] or (a[0] == b[0] and a[1] < b[1])
 
 
-@dataclasses.dataclass(frozen=True)
-class CanonicalResult:
-    word: BraidWord
-    sign: SignResult
-    iterations: int
+class CanonicalResult(_Value):
+    __match_args__ = ("word", "sign", "iterations")
+
+    def __init__(self, word: BraidWord, sign: SignResult, iterations: int):
+        _setattr(self, "word", word)
+        _setattr(self, "sign", sign)
+        _setattr(self, "iterations", iterations)
 
 
 def canonical_form(w: BraidWord) -> CanonicalResult:

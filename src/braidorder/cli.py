@@ -8,7 +8,6 @@ Every other token is an argument, so that words like "-2 1" need no --.
 
 from __future__ import annotations
 
-import json
 import sys
 
 from .canonical import CanonicalError, canonical_form
@@ -16,7 +15,7 @@ from .cutseq import InvalidSequenceError, RewriteError
 from .cutseq import format_sequence, parse_sequence, word_to_cutseq
 from .geometry import AmbiguityError, validate
 from .order import Ordering, braid_equal, compare, sign
-from .words import BraidWord, WordError, format_word, parse_letters, parse_word
+from .words import _NUMERAL, BraidWord, WordError, _quoted, format_word, parse_letters, parse_word
 
 
 def _words(n: int | None, *texts: str) -> list[BraidWord]:
@@ -136,11 +135,13 @@ def main(argv: list[str] | None = None) -> int:
             strands = token[2:] if token[1] == "n" else token[len("--strands="):]
         else:
             args.append(token)
-    try:
+    try:  # a number spelled as in a letter; int() also refuses one past 4,300 digits
+        if strands is not None and not _NUMERAL.fullmatch(strands.removeprefix("-")):
+            raise ValueError
         strands = None if strands is None else int(strands)
     except ValueError:
-        message = f"Invalid value for '-n' / '--strands': {strands!r} is not a valid integer."
-        return _usage_error(command, message)
+        return _usage_error(command, f"Invalid value for '-n' / '--strands': "
+                                     f"{_quoted(strands)} is not a valid integer.")
     if len(args) < len(names):
         return _usage_error(command, f"Missing argument {names[len(args)]!r}.")
     if len(args) > len(names):
@@ -155,5 +156,9 @@ def main(argv: list[str] | None = None) -> int:
     except (RewriteError, CanonicalError, AmbiguityError) as exc:
         print(f"internal error (a bug): {exc}", file=sys.stderr)
         return 3
-    print(json.dumps(data) if as_json else text)
+    if as_json:
+        import json  # only --json pays for it
+
+        text = json.dumps(data)
+    print(text)
     return 0

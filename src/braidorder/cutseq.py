@@ -26,11 +26,10 @@ occurs only in the lists the walk reduces, never in a ``CuttingSequence``.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 
 from .words import MAX_STRANDS, BraidWord, SignResult, _brief, _check_strands, _quoted, free_reduce
-from .words import _NUMERAL, _TABLE_STRANDS, _unchecked
+from .words import _NUMERAL, _TABLE_STRANDS, _setattr, _unchecked, _Value
 
 UP = -1
 DOWN = -2
@@ -100,17 +99,16 @@ def _check_well_formed(n: int, letters, screened: bool = False) -> None:
         raise InvalidSequenceError(adjacency)
 
 
-@dataclasses.dataclass(frozen=True)
-class CuttingSequence:
+class CuttingSequence(_Value):
     """An immutable, structurally checked cutting sequence on n strands."""
 
-    n: int
-    letters: tuple[int, ...]
+    __match_args__ = ("n", "letters")
 
-    def __post_init__(self):
-        letters = tuple(self.letters)
-        _check_well_formed(self.n, letters)
-        object.__setattr__(self, "letters", letters)
+    def __init__(self, n: int, letters: tuple[int, ...]):
+        letters = tuple(letters)
+        _check_well_formed(n, letters)
+        _setattr(self, "n", n)
+        _setattr(self, "letters", letters)
 
     def __str__(self) -> str:
         return format_sequence(self)

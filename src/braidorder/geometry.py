@@ -12,11 +12,11 @@ interval crossings at odd values 2k+1 (see :mod:`braidorder.cutseq`).
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import itertools
 import struct
 
 from .cutseq import DOWN, UP, CuttingSequence, _positions, _require_reduced
+from .words import _setattr, _Value
 
 # A walk key is packed as big-endian unsigned 2-byte entries, so keys compare
 # as bytes (memcmp) exactly as the entry lists would, prefixes included.  An
@@ -182,10 +182,12 @@ def _occurrence_order(s: CuttingSequence, k: int) -> tuple[int, ...]:
     return tuple(_sort_crossings(_entries(letters, holes, offsets, keys, stretches)))
 
 
-@dataclasses.dataclass(frozen=True)
-class Validation:
-    ok: bool
-    reason: str | None = None
+class Validation(_Value):
+    __match_args__ = ("ok", "reason")
+
+    def __init__(self, ok: bool, reason: str | None = None):
+        _setattr(self, "ok", ok)
+        _setattr(self, "reason", reason)
 
     def __bool__(self) -> bool:
         return self.ok

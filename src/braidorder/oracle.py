@@ -13,11 +13,10 @@ shortened, so this module can referee it: the public ``braid_equal`` is
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from typing import Iterable, Sequence
 
-from .words import BraidWord, WordError, crossing_numbers, permutation_image
+from .words import BraidWord, WordError, _setattr, _Value, crossing_numbers, permutation_image
 
 FreeWord = tuple[int, ...]  # signed generator indices, always freely reduced
 
@@ -52,12 +51,14 @@ def _substitute(table: dict[int, FreeWord], word: FreeWord) -> FreeWord:
     return tuple(out)
 
 
-@dataclasses.dataclass(frozen=True)
-class ArtinAutomorphism:
+class ArtinAutomorphism(_Value):
     """The composed substitution of a braid word: images of x_1..x_n."""
 
-    n: int
-    images: tuple[FreeWord, ...]
+    __match_args__ = ("n", "images")
+
+    def __init__(self, n: int, images: tuple[FreeWord, ...]):
+        _setattr(self, "n", n)
+        _setattr(self, "images", images)
 
     def is_identity(self) -> bool:
         return all(img == (j + 1,) for j, img in enumerate(self.images))

@@ -7,8 +7,8 @@ the identity braid.  Strings are labeled by their starting position, 1..n.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
+import operator
 import re
 
 
@@ -30,20 +30,51 @@ def _check_strands(n, error: type[ValueError]) -> None:
         raise error(f"strand count {_brief(n)} out of range 2..{MAX_STRANDS}")
 
 
-@dataclasses.dataclass(frozen=True)
-class BraidWord:
+_new, _setattr = object.__new__, object.__setattr__  # bound once: a build costs a fifth less
+
+
+class _Value:
+    """An immutable value of the fields named in ``__match_args__``: equal
+    only within its class, hashed and shown by its fields, which only
+    ``object.__setattr__`` writes.  Without ``__slots__``, pickle and
+    ``copy`` restore them through ``__dict__``, not ``__setattr__``."""
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._values = operator.attrgetter(*cls.__match_args__)  # a tuple: two fields or more
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class BraidWord(_Value):
     """A word in the twist generators of the braid group on ``n`` strands."""
 
-    n: int
-    letters: tuple[int, ...] = ()
+    __match_args__ = ("n", "letters")
 
-    def __post_init__(self):
+    def __init__(self, n: int, letters: tuple[int, ...] = ()):
         # Only words built from outside are checked here: parse_word, and
         # free_reduce, inverse and * on checked words, build theirs by
         # _unchecked.
-        _check_strands(self.n, WordError)
-        letters = tuple(self.letters)
-        top = self.n - 1
+        _check_strands(n, WordError)
+        letters = tuple(letters)
+        top = n - 1
         # a plain loop: screening with set(map(type, ...)), min and max
         # took 2-3 times as long on words of 4 to 100 letters.  The check
         # costs 1.5 us on 10 letters and 3.2 us on 40, _unchecked about
@@ -52,8 +83,9 @@ class BraidWord:
             if type(k) is not int:  # a bool would pass as 1, a float reach sign
                 raise WordError(f"not an integer letter: {_brief(k)}")
             if k == 0 or abs(k) > top:
-                raise WordError(f"letter {_brief(k)} out of range for {self.n} strands")
-        object.__setattr__(self, "letters", letters)
+                raise WordError(f"letter {_brief(k)} out of range for {n} strands")
+        _setattr(self, "n", n)
+        _setattr(self, "letters", letters)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if not isinstance(other, BraidWord):
@@ -72,9 +104,6 @@ class BraidWord:
         return format_word(self)
 
 
-_new, _setattr = object.__new__, object.__setattr__  # bound once: a build costs a fifth less
-
-
 def _unchecked(cls, n: int, letters: tuple[int, ...]):
     """A ``cls`` (``BraidWord`` or ``CuttingSequence``) of a strand count and
     letters known valid, without the constructor's check.  ``_setattr`` keeps
@@ -85,8 +114,7 @@ def _unchecked(cls, n: int, letters: tuple[int, ...]):
     return obj
 
 
-@dataclasses.dataclass(frozen=True)
-class SignResult:
+class SignResult(_Value):
     """Positivity classification of a braid or a word.
 
     ``kind`` is one of "positive", "negative", "trivial", "inconsistent"
@@ -94,8 +122,11 @@ class SignResult:
     is the relevant generator index, absent for trivial/inconsistent results.
     """
 
-    kind: str
-    index: int | None = None
+    __match_args__ = ("kind", "index")
+
+    def __init__(self, kind: str, index: int | None = None):
+        _setattr(self, "kind", kind)
+        _setattr(self, "index", index)
 
     def __str__(self) -> str:
         if self.index is None:

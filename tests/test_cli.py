@@ -1,6 +1,5 @@
+import importlib.util
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -11,6 +10,11 @@ from braidorder.canonical import CanonicalError
 from braidorder.cutseq import RewriteError
 from braidorder.geometry import AmbiguityError
 from conftest import run_cli as run
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "cold_start.py"
+spec = importlib.util.spec_from_file_location("cold_start", SCRIPT)
+cold_start = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(cold_start)
 
 
 def test_sign_plain():
@@ -279,6 +283,8 @@ def test_too_many_strands_exits_1():
     r = run("sign", "1000000000")
     assert r.exit_code == 1
     assert "out of range" in r.stderr
+    r = run("sign", "-n", "-3", "1")
+    assert (r.exit_code, r.stderr) == (1, "Error: strand count -3 out of range 2..10000\n")
     r = run("validate", "_0 ^ _99999999")
     assert r.exit_code == 1
     assert "out of range" in r.stderr
@@ -302,12 +308,20 @@ def test_huge_number_exits_1_with_a_short_message(args):
         (("compare", "1", "2", "3"), "Got unexpected extra argument (3)"),
         (("frobnicate", "1"), "No such command 'frobnicate'."),
         (("sign", "-n", "x", "1"), "Invalid value for '-n' / '--strands': 'x' is not a valid integer."),
+        # int() takes these, but -n takes only a letter's spelling of a number
+        *[(("sign", "-n", n, "1"), f"Invalid value for '-n' / '--strands': {n!r} is not a valid "
+           "integer.") for n in ("1_0", "+3", "03", "\u0663", " 3")],
+        (("sign", "-n", "9" * 5000, "1"),
+         "Invalid value for '-n' / '--strands': '99999999999999999999'... (5000 characters) "
+         "is not a valid integer."),
         (("sign", "1", "--strands"), "Option '--strands' requires an argument."),
         # validate takes no -n, so "-n" is its argument and "3" one too many
         (("validate", "-n", "3"), "Got unexpected extra argument (3)"),
     ],
     ids=[
-        "missing argument", "extra argument", "unknown subcommand", "non-integer -n", "no -n value",
+        "missing argument", "extra argument", "unknown subcommand", "non-integer -n",
+        "-n underscore", "-n plus", "-n leading zero", "-n arabic-indic digit", "-n space",
+        "-n past int()'s digits", "no -n value",
         "-n of validate",
     ],
 )
@@ -339,17 +353,12 @@ def test_many_missing_holes_exit_1_with_a_short_message():
 
 
 def test_import_adds_only_the_standard_library():
-    """Each command pays for what ``braidorder.cli`` imports.  The baseline
-    is a bare interpreter, whose site hooks may import packages of their own."""
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-
-    def modules(imports):
-        code = f"{imports}import sys; print(*sys.modules)"
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
-        return set(done.stdout.split())
-
-    added = modules("import braidorder, braidorder.cli; ") - modules("")
+    """Each command pays for what ``braidorder.cli`` imports: only the
+    standard library, and not ``dataclasses`` (which imports ``inspect``,
+    ``ast`` and ``dis``) nor ``json``, which only ``--json`` needs."""
+    added = cold_start.added_modules(Path(cli.__file__).resolve().parents[1],
+                                     "import braidorder, braidorder.cli")
     assert "braidorder.cli" in added
     foreign = {name.partition(".")[0] for name in added} - {"braidorder"} - sys.stdlib_module_names
     assert not foreign, sorted(foreign)
+    assert not {"dataclasses", "inspect", "json"} & set(added), added

@@ -33,3 +33,19 @@ def test_the_cold_start_code_is_the_benchmarks():
     bench = cold_start.load_bench_run(ROOT, "test")
     assert "braidorder.cli" in bench.COLD_START_CODE
     assert callable(bench.cold_start)
+
+
+def test_module_lines_list_each_side_then_the_difference():
+    added = {"parent": ["copy", "dataclasses", "re"], "change": ["re"]}
+    assert cold_start.module_lines(added) == [
+        "parent adds 3: copy dataclasses re",
+        "change adds 1: re",
+        "only parent: copy dataclasses",
+        "only change: (none)",
+    ]
+
+
+def test_added_modules_are_those_the_code_imports():
+    assert cold_start.added_modules(ROOT / "src", "pass") == []
+    added = cold_start.added_modules(ROOT / "src", "import json")
+    assert "json" in added and "json.decoder" in added and "braidorder" not in added

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -54,9 +53,9 @@ def test_sign_results_are_frozen_and_equal_for_equal_signs():
         ra, rb = sign(w(a)), sign(w(b))
         assert ra == rb and hash(ra) == hash(rb) and str(ra) == str(rb)
         assert ra is rb  # one shared result per kind and index
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="cannot assign to field"):
             ra.kind = "negative"
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="cannot assign to field"):
             rb.index = 7
         assert (ra.kind, ra.index) == (rb.kind, rb.index)
     assert sign(w("1")) != sign(w("-1")) != sign(w("2", 4))
