@@ -8,8 +8,9 @@ pair: ``bench/run.py`` runs once from each checkout, and the side that goes
 first alternates from pair to pair, so a slow spell of the machine falls on
 both sides alike.  For each end-to-end metric of CHANGE's ``BENCHMARK.json``
 it prints each side's median and quartiles, how many pairs the change won,
-and whether the gain rule holds (:func:`gain_holds`).  The last line is the
-raw per-run metrics as JSON.  Standard library only.
+and whether the gain rule holds (:func:`gain_holds`); with one seed, each
+side's value and ``n/a`` (:func:`row`).  The last line is the raw per-run
+metrics as JSON.  Standard library only.
 """
 
 from __future__ import annotations
@@ -54,6 +55,19 @@ def gain_holds(parent: list[float], change: list[float], better: str) -> bool:
     return (gap if better == "higher" else -gap) > q3 - q1
 
 
+def row(name: str, parent: list[float], change: list[float], better: str) -> str:
+    """One metric's line of the table: each side's quartiles, the change's
+    wins and whether the gain rule holds.  A single pair has no quartiles,
+    so each side shows its one value and the gain reads ``n/a``."""
+    if len(parent) < 2:
+        cells, gain = [f"{side[0]:.4g}" for side in (parent, change)], "n/a"
+    else:
+        cells = ["/".join(f"{v:.4g}" for v in quartiles(side)) for side in (parent, change)]
+        gain = "yes" if gain_holds(parent, change, better) else "no"
+    return (f"{name:<16} {cells[0]:>30} {cells[1]:>30}  {wins(parent, change, better):>2}/"
+            f"{len(parent):<2} {gain}")
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """The result line of one ``bench/run.py`` run from ``checkout``."""
     done = subprocess.run(
@@ -89,9 +103,7 @@ def main() -> int:
         name, better = metric["name"], metric["better"]
         parent = [r["metrics"][name]["value"] for r in runs["parent"]]
         change = [r["metrics"][name]["value"] for r in runs["change"]]
-        cells = ["/".join(f"{v:.4g}" for v in quartiles(side)) for side in (parent, change)]
-        print(f"{name:<16} {cells[0]:>30} {cells[1]:>30}  {wins(parent, change, better):>2}/"
-              f"{len(parent):<2} {'yes' if gain_holds(parent, change, better) else 'no'}")
+        print(row(name, parent, change, better))
     broken = [side for side, rs in runs.items() for r in rs if not r["correct"] or r["failed"]]
     if broken:
         print(f"WRONG ANSWERS in runs of: {sorted(set(broken))}")

@@ -15,7 +15,7 @@ from .cutseq import InvalidSequenceError, RewriteError
 from .cutseq import format_sequence, parse_sequence, word_to_cutseq
 from .geometry import AmbiguityError, validate
 from .order import Ordering, braid_equal, compare, sign
-from .words import _NUMERAL, BraidWord, WordError, _quoted, format_word, parse_letters, parse_word
+from .words import _NUMERAL, BraidWord, WordError, _brief, format_word, parse_letters, parse_word
 
 
 def _words(n: int | None, *texts: str) -> list[BraidWord]:
@@ -117,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
         return _help(None, 0 if argv else 2)
     command, tokens = argv[0], iter(argv[1:])
     if command not in COMMANDS:
-        return _usage_error(None, f"No such command {command!r}.")
+        return _usage_error(None, f"No such command {_brief(command)}.")
     run, names, takes_strands = COMMANDS[command]
     args, strands, as_json = [], None, False
     for token in tokens:
@@ -130,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
         elif takes_strands and token in ("-n", "--strands"):
             strands = next(tokens, None)
             if strands is None:
-                return _usage_error(command, f"Option {token!r} requires an argument.")
+                return _usage_error(command, f"Option {_brief(token)} requires an argument.")
         elif takes_strands and token.startswith(("-n", "--strands=")):
             strands = token[2:] if token[1] == "n" else token[len("--strands="):]
         else:
@@ -141,13 +141,13 @@ def main(argv: list[str] | None = None) -> int:
         strands = None if strands is None else int(strands)
     except ValueError:
         return _usage_error(command, f"Invalid value for '-n' / '--strands': "
-                                     f"{_quoted(strands)} is not a valid integer.")
+                                     f"{_brief(strands)} is not a valid integer.")
     if len(args) < len(names):
         return _usage_error(command, f"Missing argument {names[len(args)]!r}.")
     if len(args) > len(names):
-        extra = args[len(names):]
-        s = "s" if len(extra) > 1 else ""
-        return _usage_error(command, f"Got unexpected extra argument{s} ({' '.join(extra)})")
+        s = "s" if len(args) > len(names) + 1 else ""
+        extra = _brief(" ".join(args[len(names):]), str)
+        return _usage_error(command, f"Got unexpected extra argument{s} ({extra})")
     try:
         data, text = run(strands, *args)
     except (WordError, InvalidSequenceError) as exc:

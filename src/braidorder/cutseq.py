@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 
-from .words import MAX_STRANDS, BraidWord, SignResult, _brief, _check_strands, _quoted, free_reduce
+from .words import MAX_STRANDS, BraidWord, SignResult, _brief, _check_strands, free_reduce
 from .words import _NUMERAL, _TABLE_STRANDS, _setattr, _unchecked, _Value
 
 UP = -1
@@ -47,8 +47,9 @@ class RewriteError(RuntimeError):
 
 
 def _check_well_formed(n: int, letters, screened: bool = False) -> None:
-    """Enforce the three structural conditions: endpoints, unique punctures,
-    alternation of numbers and arrows (with value-adjacent hole pairs allowed).
+    """Enforce the three structural conditions on n strands, a count already
+    checked: endpoints, unique punctures, alternation of numbers and arrows
+    (with value-adjacent hole pairs allowed).
 
     One pass over the letters.  Each must be an int in ``DOWN..2n+2``,
     which the pass tests unless ``screened`` says the caller has settled it
@@ -58,7 +59,6 @@ def _check_well_formed(n: int, letters, screened: bool = False) -> None:
     one that checking each condition in turn would: endpoints, letters,
     missing holes, adjacency.
     """
-    _check_strands(n, InvalidSequenceError)
     top = 2 * n + 2
     if not letters or letters[0] != 0:
         raise InvalidSequenceError("sequence must start with _0")
@@ -105,6 +105,7 @@ class CuttingSequence(_Value):
     __match_args__ = ("n", "letters")
 
     def __init__(self, n: int, letters: tuple[int, ...]):
+        _check_strands(n, InvalidSequenceError)
         letters = tuple(letters)
         _check_well_formed(n, letters)
         _setattr(self, "n", n)
@@ -146,21 +147,20 @@ def parse_sequence(text: str) -> CuttingSequence:
             _check_well_formed(n, letters, screened=True)
             return _unchecked(CuttingSequence, n, letters)
     letters = []
-    known = dict(_TOKENS)  # a sequence repeats few distinct tokens: check each once
     for token in tokens:
-        x = known.get(token)
+        x = _TOKENS.get(token)
         if x is None:
             hole = token.startswith("_")
             digits = token[1:] if hole else token
             if not _NUMERAL.fullmatch(digits):
-                raise InvalidSequenceError(f"bad token: {_quoted(token)}")
+                raise InvalidSequenceError(f"bad token: {_brief(token)}")
             if len(digits) > _MAX_DIGITS:  # and before int() refuses it
                 raise InvalidSequenceError(
-                    f"bad token: {_quoted(token)}: value out of range for any strand count"
+                    f"bad token: {_brief(token)}: value out of range for any strand count"
                     f" up to {MAX_STRANDS}"
                 )
             k = int(digits)
-            x = known[token] = 2 * k if hole else 2 * k + 1
+            x = 2 * k if hole else 2 * k + 1
         letters.append(x)
     if not letters or letters[-1] < 0 or letters[-1] & 1:
         raise InvalidSequenceError("cannot infer strand count: no final hole")

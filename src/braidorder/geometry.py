@@ -16,7 +16,7 @@ import itertools
 import struct
 
 from .cutseq import DOWN, UP, CuttingSequence, _positions, _require_reduced
-from .words import _setattr, _Value
+from .words import _brief, _setattr, _Value
 
 # A walk key is packed as big-endian unsigned 2-byte entries, so keys compare
 # as bytes (memcmp) exactly as the entry lists would, prefixes included.  An
@@ -159,7 +159,7 @@ def occurrence_order(s: CuttingSequence, k: int) -> tuple[int, ...]:
     hole.
     """
     if type(k) is not int:  # 1.5 would read a hole's position, True interval 1
-        raise ValueError(f"interval must be an int, got {k!r}")
+        raise ValueError(f"interval must be an int, got {_brief(k)}")
     _require_reduced(s)
     return _occurrence_order(s, k)
 

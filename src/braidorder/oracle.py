@@ -14,7 +14,7 @@ shortened, so this module can referee it: the public ``braid_equal`` is
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .words import BraidWord, WordError, _setattr, _Value, crossing_numbers, permutation_image
 
@@ -112,23 +112,17 @@ def enumerate_constrained(
     length: int,
     permutation: Sequence[int] | None = None,
     crossings: dict[tuple[int, int], int] | None = None,
-    forbidden: Iterable[int] = (),
 ) -> list[BraidWord]:
     """All words of the given length whose invariants match the constraints.
 
     ``permutation`` is the required image tuple, ``crossings`` the required
-    algebraic crossing counts (missing pairs are unconstrained), ``forbidden``
-    letters are excluded from the alphabet.  The full alphabet has 2(n-1)
-    letters; the search is exhaustive and guarded against oversized spaces.
+    algebraic crossing counts (missing pairs are unconstrained).  The
+    alphabet has 2(n-1) letters; the search is exhaustive and guarded
+    against oversized spaces.
     Words that are equal as braids are all returned; deduplicate through
     :func:`artin_action` if elements are wanted.
     """
-    forbidden = set(forbidden)
-    alphabet = [
-        k
-        for k in itertools.chain(range(1, n), range(-(n - 1), 0))
-        if k not in forbidden
-    ]
+    alphabet = [*range(1, n), *range(-(n - 1), 0)]
     if (2 * (n - 1)) ** length > SEARCH_SPACE_LIMIT:
         raise ValueError(
             f"search space (2(n-1))^length = {(2 * (n - 1)) ** length} "

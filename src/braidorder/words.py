@@ -57,10 +57,10 @@ class _Value:
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to field {_brief(name)}")
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        raise AttributeError(f"cannot delete field {_brief(name)}")
 
 
 class BraidWord(_Value):
@@ -140,21 +140,17 @@ class SignResult(_Value):
 _NUMERAL = re.compile(r"0|[1-9][0-9]*")
 
 
-def _quoted(token: str) -> str:
-    """``repr(token)`` for an error message; past 20 characters only its
-    first 20 and its length, so a message stays short whatever the input."""
-    if len(token) <= 20:
-        return repr(token)
-    return f"{token[:20]!r}... ({len(token)} characters)"
-
-
-def _brief(x) -> str:
-    """``repr(x)`` for an error message; an int past 20 digits as its bit
-    length, which needs no decimal conversion (CPython refuses to convert
-    one past 4,300 digits, and a long one would swamp the message)."""
+def _brief(x, show=repr) -> str:
+    """``show(x)`` for an error message, cut so that a message stays short
+    whatever the input: an int past 20 digits shows as its bit length (CPython
+    will not convert one past 4,300 digits), and any other value whose text (a
+    string itself, else its repr) passes 20 characters as those 20 and its length."""
     if type(x) is int and not -(10**20) < x < 10**20:
         return f"{'-' if x < 0 else ''}<{abs(x).bit_length()}-bit number>"
-    return repr(x)
+    text = x if type(x) is str else repr(x)
+    if len(text) <= 20 or type(x) is int:
+        return show(x)
+    return f"{text[:20]!r}... ({len(text)} characters)"
 
 
 # Texts on more strands use the table of this many, so their letters of
@@ -171,15 +167,11 @@ def _spellings(n: int) -> dict[str, int]:
 
 def parse_letters(text: str) -> tuple[int, ...]:
     """The signed indices of whitespace-separated letters ("1 -2"): each
-    token looked up in the table of 64 strands, or on a miss checked
-    against ``_NUMERAL`` and read by ``int()``."""
+    token checked against ``_NUMERAL`` and read by ``int()``."""
     tokens = text.split()
-    letters = tuple(map(_spellings(_TABLE_STRANDS).get, tokens))
-    if None not in letters:
-        return letters
     for token in tokens:
         if not _NUMERAL.fullmatch(token.removeprefix("-")):
-            raise WordError(f"not an integer letter: {_quoted(token)}")
+            raise WordError(f"not an integer letter: {_brief(token)}")
     try:
         return tuple(map(int, tokens))
     except ValueError:  # more than int()'s 4,300 digits

@@ -50,3 +50,20 @@ def test_gain_needs_paired_runs():
         bench_pairs.gain_holds([1.0], [2.0], "higher")
     with pytest.raises(ValueError):
         bench_pairs.gain_holds([1.0, 2.0], [2.0], "higher")
+
+
+def test_a_row_of_ten_pairs_shows_quartiles_and_the_gain():
+    change = [v + 4 for v in PARENT]
+    assert bench_pairs.row("ops_per_s", PARENT, change, "higher") == (
+        f"{'ops_per_s':<16} {'101/102.5/104':>30} {'105/106.5/108':>30}  10/10 yes"
+    )
+
+
+def test_a_row_of_one_pair_shows_each_value_and_no_gain():
+    # one pair has no quartiles: the row must not raise, so the raw runs
+    # printed after the table are not lost
+    assert bench_pairs.row("latency_p50_ms", [0.0125], [0.0121], "lower") == (
+        f"{'latency_p50_ms':<16} {'0.0125':>30} {'0.0121':>30}   1/1  n/a"
+    )
+    with pytest.raises(ValueError):
+        bench_pairs.gain_holds([0.0125], [0.0121], "lower")

@@ -32,7 +32,7 @@ from braidorder.cutseq import (
     trivial_sequence,
 )
 from braidorder.geometry import occurrence_order
-from braidorder.words import MAX_STRANDS, _brief, _check_strands, _quoted, free_reduce
+from braidorder.words import MAX_STRANDS, _brief, _check_strands, free_reduce
 from conftest import random_word, reduce_sequence, with_a_reducible_window
 
 
@@ -606,10 +606,10 @@ def reference_parse_sequence(text):
             if not (digits.isascii() and digits.isdigit()) or (
                 digits[0] == "0" and len(digits) > 1
             ):
-                raise InvalidSequenceError(f"bad token: {_quoted(token)}")
+                raise InvalidSequenceError(f"bad token: {_brief(token)}")
             if len(digits) > cutseq._MAX_DIGITS:
                 raise InvalidSequenceError(
-                    f"bad token: {_quoted(token)}: value out of range for any strand count"
+                    f"bad token: {_brief(token)}: value out of range for any strand count"
                     f" up to {MAX_STRANDS}"
                 )
             k = int(digits)

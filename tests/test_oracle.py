@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -216,11 +218,6 @@ def test_enumerate_parity_mismatch_is_empty():
     assert enumerate_constrained(3, 2, permutation=(2, 1, 3)) == []
 
 
-def test_enumerate_respects_forbidden_letters():
-    words = enumerate_constrained(2, 2, forbidden=(-1,))
-    assert [str(w) for w in words] == ["1 1"]
-
-
 def test_enumerate_guards_search_space():
     with pytest.raises(ValueError):
         enumerate_constrained(5, 12)
@@ -234,3 +231,31 @@ def test_enumerate_crossing_constraint():
 def test_braid_equal_raises_a_word_error_for_a_strand_mismatch():
     with pytest.raises(WordError, match="strand count mismatch: 2 vs 3"):
         oracle.braid_equal(parse_word("1", 2), parse_word("1", 3))
+
+
+def package_imports(path):
+    """What the source file ``path`` imports from ``braidorder``, by short
+    name: "words" for ``from .words import ...`` or ``import
+    braidorder.words``, and the names of ``from braidorder import ...``."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = f"braidorder.{node.module or ''}".rstrip(".") if node.level else node.module
+            names = [module]
+            if module == "braidorder":
+                names = [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found |= {name.split(".")[1] for name in names if name.startswith("braidorder.")}
+    return found
+
+
+def test_the_referee_stays_independent():
+    # oracle checks the cutting-sequence and coordinate routes in the tests,
+    # so it must not share their code, and no library route may lean on it
+    source = Path(oracle.__file__).parent
+    assert package_imports(source / "oracle.py") == {"words"}
+    users = [path.stem for path in source.glob("*.py") if "oracle" in package_imports(path)]
+    assert users == []

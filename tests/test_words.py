@@ -182,7 +182,7 @@ def reference_letters(text):
     tokens = text.split()
     for token in tokens:
         if not LETTER.fullmatch(token):
-            raise WordError(f"not an integer letter: {words._quoted(token)}")
+            raise WordError(f"not an integer letter: {words._brief(token)}")
     letters = []
     for token in tokens:
         try:
