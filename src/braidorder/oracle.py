@@ -8,19 +8,15 @@ reducing words; :func:`braid_equal` checks the exponent sum first and then
 one image at a time, stopping at the first that differs.  None of the
 cutting-sequence or coordinate machinery is used here, and words are never
 shortened, so this module can referee it: the public ``braid_equal`` is
-``order.braid_equal``, and this one checks it in the tests.
+``order.braid_equal``, and this one checks it in the tests and the benchmark.
+The tests' other references are in ``tests/referee.py``.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Sequence
-
-from .words import BraidWord, WordError, _setattr, _Value, crossing_numbers, permutation_image
+from .words import BraidWord, WordError, _setattr, _Value
 
 FreeWord = tuple[int, ...]  # signed generator indices, always freely reduced
-
-SEARCH_SPACE_LIMIT = 10_000_000
 
 
 def _substitution(g: int) -> dict[int, FreeWord]:
@@ -59,9 +55,6 @@ class ArtinAutomorphism(_Value):
     def __init__(self, n: int, images: tuple[FreeWord, ...]):
         _setattr(self, "n", n)
         _setattr(self, "images", images)
-
-    def is_identity(self) -> bool:
-        return all(img == (j + 1,) for j, img in enumerate(self.images))
 
 
 def _image(letters, tables: dict[int, dict[int, FreeWord]], j: int) -> FreeWord:
@@ -105,41 +98,3 @@ def braid_equal(a: BraidWord, b: BraidWord) -> bool:
 
 def _exponent_sum(letters) -> int:
     return sum(1 if k > 0 else -1 for k in letters)
-
-
-def enumerate_constrained(
-    n: int,
-    length: int,
-    permutation: Sequence[int] | None = None,
-    crossings: dict[tuple[int, int], int] | None = None,
-) -> list[BraidWord]:
-    """All words of the given length whose invariants match the constraints.
-
-    ``permutation`` is the required image tuple, ``crossings`` the required
-    algebraic crossing counts (missing pairs are unconstrained).  The
-    alphabet has 2(n-1) letters; the search is exhaustive and guarded
-    against oversized spaces.
-    Words that are equal as braids are all returned; deduplicate through
-    :func:`artin_action` if elements are wanted.
-    """
-    alphabet = [*range(1, n), *range(-(n - 1), 0)]
-    if (2 * (n - 1)) ** length > SEARCH_SPACE_LIMIT:
-        raise ValueError(
-            f"search space (2(n-1))^length = {(2 * (n - 1)) ** length} "
-            f"exceeds the {SEARCH_SPACE_LIMIT} guard"
-        )
-    want_perm = tuple(permutation) if permutation is not None else None
-    want_cross = None
-    if crossings is not None:
-        want_cross = {(min(i, j), max(i, j)): v for (i, j), v in crossings.items()}
-    out = []
-    for combo in itertools.product(alphabet, repeat=length):
-        w = BraidWord(n, combo)
-        if want_perm is not None and permutation_image(w) != want_perm:
-            continue
-        if want_cross is not None:
-            c = crossing_numbers(w)
-            if any(c[pair] != v for pair, v in want_cross.items()):
-                continue
-        out.append(w)
-    return out

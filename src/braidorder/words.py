@@ -1,4 +1,4 @@
-"""Braid words over the twist generators, and their elementary invariants.
+"""Braid words over the twist generators: values, text form, free reduction.
 
 A word is a sequence of nonzero integers: the letter k > 0 is the positive
 half-twist of strands k and k+1, and -k is its inverse.  The empty word is
@@ -118,8 +118,9 @@ class SignResult(_Value):
     """Positivity classification of a braid or a word.
 
     ``kind`` is one of "positive", "negative", "trivial", "inconsistent"
-    ("inconsistent" only ever comes out of the syntactic word check); ``index``
-    is the relevant generator index, absent for trivial/inconsistent results.
+    (only the tests' syntactic check of a word, in ``tests/referee.py``,
+    yields "inconsistent"); ``index`` is the relevant generator index,
+    absent for trivial/inconsistent results.
     """
 
     __match_args__ = ("kind", "index")
@@ -143,14 +144,16 @@ _NUMERAL = re.compile(r"0|[1-9][0-9]*")
 def _brief(x, show=repr) -> str:
     """``show(x)`` for an error message, cut so that a message stays short
     whatever the input: an int past 20 digits shows as its bit length (CPython
-    will not convert one past 4,300 digits), and any other value whose text (a
-    string itself, else its repr) passes 20 characters as those 20 and its length."""
+    will not convert one past 4,300 digits); any other value whose text (a
+    string itself, else its repr) passes 20 characters, or whose ``show(x)``
+    passes 42, as the repr of its first 20 characters cut at 42 (20 printable
+    characters take at most that, an escape up to 10) and its length."""
     if type(x) is int and not -(10**20) < x < 10**20:
         return f"{'-' if x < 0 else ''}<{abs(x).bit_length()}-bit number>"
     text = x if type(x) is str else repr(x)
-    if len(text) <= 20 or type(x) is int:
+    if type(x) is int or len(text) <= 20 and len(show(x)) <= 42:
         return show(x)
-    return f"{text[:20]!r}... ({len(text)} characters)"
+    return f"{repr(text[:20])[:42]}... ({len(text)} characters)"
 
 
 # Texts on more strands use the table of this many, so their letters of
@@ -238,47 +241,3 @@ def free_reduce(w: BraidWord) -> BraidWord:
                 continue
         same.append(j)
     return _unchecked(BraidWord, w.n, tuple(k for k, kept in zip(letters, keep) if kept))
-
-
-def permutation_image(w: BraidWord) -> tuple[int, ...]:
-    """The induced permutation of {1..n}: entry s-1 is where string s ends up."""
-    pos = list(range(1, w.n + 1))  # pos[p] = label of the string at position p+1
-    for k in w.letters:
-        j = abs(k) - 1
-        pos[j], pos[j + 1] = pos[j + 1], pos[j]
-    images = [0] * w.n
-    for p, label in enumerate(pos):
-        images[label - 1] = p + 1
-    return tuple(images)
-
-
-def crossing_numbers(w: BraidWord) -> dict[tuple[int, int], int]:
-    """Algebraic crossing counts c(i, j) for all pairs 1 <= i < j <= n.
-
-    Each crossing of the strings starting at positions i and j contributes
-    the sign of the letter that crosses them.
-    """
-    c = {(i, j): 0 for i in range(1, w.n + 1) for j in range(i + 1, w.n + 1)}
-    pos = list(range(1, w.n + 1))
-    for k in w.letters:
-        j = abs(k) - 1
-        a, b = pos[j], pos[j + 1]
-        c[(min(a, b), max(a, b))] += 1 if k > 0 else -1
-        pos[j], pos[j + 1] = pos[j + 1], pos[j]
-    return c
-
-
-def is_sigma_consistent(w: BraidWord) -> SignResult:
-    """Does the smallest occurring generator index appear with only one sign?
-
-    Purely syntactic: "positive i=k" / "negative i=k" if generator k (the
-    smallest occurring) is used with a single sign, "trivial" for the empty
-    word, "inconsistent" otherwise.
-    """
-    if not w.letters:
-        return SignResult("trivial")
-    i = min(abs(k) for k in w.letters)
-    signs = {k > 0 for k in w.letters if abs(k) == i}
-    if len(signs) == 2:
-        return SignResult("inconsistent")
-    return SignResult("positive" if signs.pop() else "negative", i)

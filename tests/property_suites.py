@@ -20,7 +20,6 @@ from braidorder import (
 from braidorder import oracle
 from braidorder.cutseq import DOWN, UP, CuttingSequence, _try_rule
 from braidorder.order import Ordering, _act_letters
-from braidorder.words import is_sigma_consistent
 from conftest import (
     STRAND_REGIMES,
     act_letters,
@@ -29,6 +28,7 @@ from conftest import (
     random_word,
     reduce_sequence,
 )
+from referee import is_sigma_consistent
 
 SMALL = STRAND_REGIMES[0]
 

@@ -18,9 +18,9 @@ from braidorder import (
     sign,
     word_to_cutseq,
 )
-from braidorder.oracle import enumerate_constrained
 from braidorder.order import Ordering
-from braidorder.words import crossing_numbers, format_word, is_sigma_consistent
+from braidorder.words import format_word
+from referee import crossing_numbers, enumerate_constrained, is_sigma_consistent
 
 
 def best_time(fn, repeats=5):

@@ -24,7 +24,7 @@ from braidorder import BraidWord, Ordering, canonical_form, compare, compare_seq
 from braidorder import braid_equal, word_to_cutseq
 from braidorder.oracle import artin_action
 from braidorder.order import _act_letters
-from braidorder.words import is_sigma_consistent
+from referee import is_sigma_consistent
 
 # (strands, radius, words, braids)
 BALLS = [(3, 7, 4_373, 1_233), (4, 5, 4_687, 1_579)]

@@ -3,7 +3,8 @@
 Each site below is fed a value whose text (a string itself, else its repr)
 is 100,000 characters long; the message must stay short and name that
 length.  Inputs of 20 characters or fewer are shown whole, as the pinned
-messages of the other test files check.
+messages of the other test files check, unless their escapes make the shown
+form pass 42 characters: the shown repr itself is cut.
 """
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from braidorder import BraidWord, CuttingSequence
 from braidorder.cutseq import apply_generator, trivial_sequence
 from braidorder.geometry import occurrence_order
-from braidorder.words import parse_word
+from braidorder.words import WordError, _brief, parse_word
 from conftest import run_cli
 
 LONG = "1" * 100_000
@@ -78,3 +79,24 @@ def test_a_parsed_word_and_its_constructor_cut_alike():
         BraidWord(3, (token,))
     assert str(parsed.value) == str(built.value)
     assert str(built.value).endswith("... (21 characters)")
+
+
+@pytest.mark.parametrize(
+    "letter",
+    ["\U000e0000" * 20, "\U000e0000" * 100_000, "\x00" * 20],
+    ids=["20 tags", "100,000 tags", "20 nulls"],
+)
+def test_an_unprintable_input_is_cut_by_its_shown_repr(letter):
+    # each escape takes 4 to 10 characters, so 20 characters of them would
+    # pass the bound
+    with pytest.raises(WordError) as e:
+        BraidWord(3, (letter,))
+    message = str(e.value)
+    assert message.startswith("not an integer letter: '\\")
+    assert message.endswith(f"... ({len(letter)} characters)")
+    assert len(message) < 100
+
+
+def test_a_short_input_whose_repr_fits_42_characters_is_shown_whole():
+    assert _brief("\\" * 20) == repr("\\" * 20)  # the longest repr of 20 printables
+    assert _brief("a\tb") == "'a\\tb'"

@@ -34,8 +34,9 @@ from braidorder.cutseq import (
 )
 from braidorder.geometry import _occurrence_order, occurrence_order
 from braidorder.order import Ordering
-from braidorder.words import format_word, free_reduce, is_sigma_consistent
+from braidorder.words import format_word, free_reduce
 from conftest import STRAND_REGIMES, insert_identity, random_word
+from referee import is_sigma_consistent
 
 
 def canon(text, n):

@@ -5,22 +5,23 @@ from pathlib import Path
 import pytest
 
 from braidorder import oracle, parse_word
-from braidorder.oracle import ArtinAutomorphism, artin_action, enumerate_constrained
-from braidorder.words import WordError, permutation_image
+from braidorder.oracle import ArtinAutomorphism, artin_action
+from braidorder.words import WordError
 from conftest import exponent_sum, insert_identity, random_word, same_sum_partner
+from referee import enumerate_constrained, identity_images, permutation_image
 
 
 def test_identity_word_gives_identity_automorphism():
-    assert artin_action(parse_word("", 3)).is_identity()
+    assert artin_action(parse_word("", 3)).images == identity_images(3)
 
 
 def test_cancelling_pair_gives_identity():
-    assert artin_action(parse_word("1 -1", 3)).is_identity()
-    assert artin_action(parse_word("-2 2", 3)).is_identity()
+    assert artin_action(parse_word("1 -1", 3)).images == identity_images(3)
+    assert artin_action(parse_word("-2 2", 3)).images == identity_images(3)
 
 
 def test_braid_relator_gives_identity():
-    assert artin_action(parse_word("1 2 1 -2 -1 -2", 3)).is_identity()
+    assert artin_action(parse_word("1 2 1 -2 -1 -2", 3)).images == identity_images(3)
 
 
 def test_generator_images():
@@ -103,7 +104,7 @@ def test_braid_equal_is_invariant_under_rewrites(rng):
 
 def reference_braid_equal(a, b):
     """The quotient a * b^-1 acts as the identity."""
-    return artin_action(a * b.inverse()).is_identity()
+    return artin_action(a * b.inverse()).images == identity_images(a.n)
 
 
 def test_braid_equal_matches_the_quotient_reference():
@@ -233,29 +234,42 @@ def test_braid_equal_raises_a_word_error_for_a_strand_mismatch():
         oracle.braid_equal(parse_word("1", 2), parse_word("1", 3))
 
 
-def package_imports(path):
-    """What the source file ``path`` imports from ``braidorder``, by short
-    name: "words" for ``from .words import ...`` or ``import
-    braidorder.words``, and the names of ``from braidorder import ...``."""
+def imports(path):
+    """The modules the source file ``path`` imports, by full name: a
+    relative import resolves within ``braidorder``, and ``from m import x``
+    names both m and m.x."""
     found = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            found |= {alias.name for alias in node.names}
         elif isinstance(node, ast.ImportFrom):
             module = f"braidorder.{node.module or ''}".rstrip(".") if node.level else node.module
-            names = [module]
-            if module == "braidorder":
-                names = [f"{module}.{alias.name}" for alias in node.names]
-        else:
-            continue
-        found |= {name.split(".")[1] for name in names if name.startswith("braidorder.")}
+            found |= {module, *(f"{module}.{alias.name}" for alias in node.names)}
     return found
 
 
+def package_imports(path):
+    """What ``path`` imports from ``braidorder``, by short name: "words" for
+    ``from .words import ...`` or ``import braidorder.words``, and the names
+    of ``from braidorder import ...``."""
+    return {name.split(".")[1] for name in imports(path) if name.startswith("braidorder.")}
+
+
 def test_the_referee_stays_independent():
-    # oracle checks the cutting-sequence and coordinate routes in the tests,
-    # so it must not share their code, and no library route may lean on it
+    # oracle and tests/referee.py check the cutting-sequence and coordinate
+    # routes, so they must not share their code, and no library route may
+    # lean on them
     source = Path(oracle.__file__).parent
     assert package_imports(source / "oracle.py") == {"words"}
-    users = [path.stem for path in source.glob("*.py") if "oracle" in package_imports(path)]
+    from_package = {
+        name for name in imports(Path(__file__).with_name("referee.py"))
+        if name.partition(".")[0] == "braidorder"
+    }
+    assert from_package == {"braidorder.words", "braidorder.words.BraidWord",
+                            "braidorder.words.SignResult"}
+    users = [
+        path.stem for path in source.glob("*.py")
+        if "oracle" in package_imports(path)
+        or "referee" in {part for name in imports(path) for part in name.split(".")}
+    ]
     assert users == []

@@ -6,16 +6,9 @@ import pytest
 
 from braidorder import BraidWord, WordError, braid_equal, parse_word
 from braidorder import words
-from braidorder.words import (
-    MAX_STRANDS,
-    crossing_numbers,
-    format_word,
-    free_reduce,
-    is_sigma_consistent,
-    parse_letters,
-    permutation_image,
-)
+from braidorder.words import MAX_STRANDS, format_word, free_reduce, parse_letters
 from conftest import insert_identity, random_word
+from referee import crossing_numbers, is_sigma_consistent, permutation_image
 
 
 def test_parse_basic():
