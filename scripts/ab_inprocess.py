@@ -28,17 +28,21 @@ same on both sides.  For each differing sequence it prints what each side
 gave: the verdict and reason of ``validate``, or the order or error of the
 first interval that differs; then how many differing sequences differ in
 each way, so a deliberate difference (an error renamed, say) can be told
-from the output alone.  Last, both sides parse the same 3,000 seeded texts
-with ``parse_word`` at n = 2..12, a third of them with a malformed token (a
-zero, a leading zero, a "+", another script's digit, a long token, a digit
-run past 4,300 digits) and some with a letter out of range: the letters,
-or the error's type and message, must be the same.  So must those of
-``parse_letters`` on the same texts, the route of the command line when
-no strand count is given, and those of ``parse_sequence`` on 3,000 seeded
-sequence texts: word images on 2..12 strands, and now and then on 63, 64
-or 65 around the spelling tables' cap, half of them perturbed as above, a
-third with a malformed token put in, a value past n or a final token that
-is not a hole.
+from the output alone.  Both sides also take ``leftmost_useful_subword``
+(anchor and walk) of every diagram the parent's slide loop reads on those
+words, and it prints how many diagrams were alike and on how many two
+usable crossing arcs had one walk, so that only the walks on the other
+side of their crossings tell them apart.  Last, both sides parse the same
+3,000 seeded texts with ``parse_word`` at n = 2..12, a third of them with a
+malformed token (a zero, a leading zero, a "+", another script's digit, a
+long token, a digit run past 4,300 digits) and some with a letter out of
+range: the letters, or the error's type and message, must be the same.  So
+must those of ``parse_letters`` on the same texts, the route of the command
+line when no strand count is given, and those of ``parse_sequence`` on 3,000
+seeded sequence texts: word images on 2..12 strands, and now and then on
+63, 64 or 65 around the spelling tables' cap, half of them perturbed as
+above, a third with a malformed token put in, a value past n or a final
+token that is not a hole.
 
 It prints, for each operation kind, the milliseconds per operation on each
 side (the mean of the best times), the change/parent ratio, and the
@@ -174,6 +178,15 @@ def sequence_order(lib: dict, s, t):
         return type(e).__name__, str(e)
 
 
+def agreement_words(seed: int, count: int):
+    """The agreement's seeded words, each as ``(n, letters, partner)``."""
+    rng = random.Random(seed)
+    for j in range(count):
+        n = 2 + j % 8
+        letters = random_letters(rng, n)
+        yield n, letters, partner(rng, n, letters)
+
+
 def agreement(libs: dict[str, dict], seed: int, count: int = AGREEMENT_WORDS):
     """The words on which the sides' ``canonical_form`` (word, sign,
     iterations), ``word_to_cutseq`` or ``sign`` differ, or its ``compare``
@@ -183,13 +196,9 @@ def agreement(libs: dict[str, dict], seed: int, count: int = AGREEMENT_WORDS):
     differs, each as ``(text, kind)`` with the sides' outcomes in the text
     (:func:`difference`); then how many sequences were checked and how many
     ``validate`` rejected."""
-    rng = random.Random(seed)
     differ, differ_sequences = [], []
     checked = rejected = 0
-    for j in range(count):
-        n = 2 + j % 8
-        letters = random_letters(rng, n)
-        other = partner(rng, n, letters)
+    for j, (n, letters, other) in enumerate(agreement_words(seed, count)):
         seen = []
         checks = []
         for lib in libs.values():
@@ -221,6 +230,34 @@ def agreement(libs: dict[str, dict], seed: int, count: int = AGREEMENT_WORDS):
                 kind, detail = difference(parent, change)
                 differ_sequences.append((f"n={n}: {s}\n    {detail}", kind))
     return differ, differ_sequences, checked, rejected
+
+
+def slide_agreement(libs: dict[str, dict], seed: int, count: int = AGREEMENT_WORDS):
+    """The slide diagrams on which the sides' ``leftmost_useful_subword``
+    (anchor and walk) differs, as text with both sides' arcs; how many
+    diagrams were checked; and on how many the puncture's arc was not
+    usable and two usable crossing arcs had one walk.
+
+    The diagrams are those the parent side's slide loop reads on the words
+    of :func:`agreement`: each word's image, then the result of each slide
+    along the parent's arc, up to the straight diagram."""
+    parent, change = libs["parent"], libs["change"]
+    cutseq, canonical = parent["braidorder.cutseq"], parent["braidorder.canonical"]
+    differ = []
+    slides = tied = 0
+    for n, letters, _ in agreement_words(seed, count):
+        s = cutseq.word_to_cutseq(parent["braidorder.words"].BraidWord(n, letters))
+        while not s.is_trivial():
+            arc = canonical.leftmost_useful_subword(s)
+            same = change["braidorder.cutseq"].CuttingSequence(n, s.letters)
+            other = change["braidorder.canonical"].leftmost_useful_subword(same)
+            if arc != other:
+                differ.append(f"n={n}: {s}\n    parent {arc}, change {other}")
+            walks = [walk for _, walk in canonical.find_useful_subwords(s)]
+            tied += walks[0][0] & 1 and len(set(walks)) < len(walks)  # no puncture's arc
+            slides += 1
+            s = cutseq._act_word(s, canonical._slide_letters(arc[1]))
+    return differ, slides, tied
 
 
 def random_text(rng: random.Random, n: int) -> str:
@@ -373,6 +410,14 @@ def main() -> int:
     for kind, count in collections.Counter(kind for _, kind in differ_sequences).items():
         print(f"  {count} differ by {kind}")
 
+    differ_arcs, slides, tied = slide_agreement(libs, args.seed)
+    print(
+        f"leftmost_useful_subword: {slides - len(differ_arcs)} of {slides} slide diagrams "
+        f"alike, {tied} of them with tied own walks"
+    )
+    for text in differ_arcs[:10]:
+        print(f"  differs: {text}")
+
     differ_texts, refused = parse_agreement(libs, args.seed)
     print(
         f"parse_word: {PARSE_TEXTS - len(differ_texts)} of {PARSE_TEXTS} texts alike, "
@@ -450,7 +495,8 @@ def main() -> int:
         if wrong[side]:
             print(f"WRONG ANSWERS on the {side} side: {wrong[side]}")
     differs = (
-        differ or differ_sequences or differ_texts or differ_letters or differ_sequence_texts
+        differ or differ_sequences or differ_arcs or differ_texts or differ_letters
+        or differ_sequence_texts
     )
     return 1 if differs or any(wrong.values()) else 0
 

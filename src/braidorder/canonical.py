@@ -26,7 +26,6 @@ from .cutseq import (
     puncture_walk,
     word_to_cutseq,
 )
-from .geometry import _occurrence_order
 from .words import BraidWord, SignResult, _setattr, _Value
 
 
@@ -82,25 +81,45 @@ def leftmost_useful_subword(s: CuttingSequence) -> tuple[int, tuple]:
 
     The puncture-anchored arc, if usable, starts at the stretch's left
     endpoint and wins outright, so it is read first and the crossings are
-    read only when it is not usable.  Then one usable crossing wins alone,
-    and among two or more the crossings' real-line order decides.  An empty
-    candidate set contradicts the existence of a useful arc for every
-    nontrivial diagram, so it raises.
+    read only when it is not usable.  Then the usable crossing arcs are
+    ranked by their own walks (see :func:`_turns`).  An empty candidate set
+    contradicts the existence of a useful arc for every nontrivial diagram,
+    so it raises.
     """
     i, direction = _critical_stretch(s)
     arcs = _usable_arcs(s, i, direction)
     first = next(arcs, None)
     if first is None:
         raise CanonicalError("no useful arc found; the slide argument is violated")
-    walks = [first] if first[0] == i else [first, *arcs]  # the puncture's arc wins outright
-    if len(walks) == 1:
+    if first[0] == i:  # the puncture's arc wins outright
         return first
-    by_anchor = dict(walks)
-    # s comes from the generator action, so it is reduced
-    for p in _occurrence_order(s, i):
-        if p in by_anchor:
-            return p, by_anchor[p]
-    raise CanonicalError("candidate anchors missing from the occurrence order")
+    letters, mod = s.letters, 2 * (s.n + 1)
+
+    def key(arc):
+        p, walk = arc
+        own = _turns(walk, mod)
+        other = _turns(puncture_walk(letters, p, -1 if letters[p + 1] == direction else 1), mod)
+        upper, lower = (own, other) if direction == UP else (other, own)
+        return [mod - e for e in upper], lower
+
+    return min((first, *arcs), key=key)
+
+
+def _turns(walk, mod: int) -> list[int]:
+    """The turning entry of each arrow along ``walk``: an arrow from x to y
+    turns (y - x) % mod through ^ and (x - y) % mod through v.
+
+    ``geometry.occurrence_order`` puts a crossing further left when its
+    upper walk's entries, complemented, then its lower walk's are less.  A
+    reduced walk's arrows alternate and it stops at its first puncture, so
+    no entry list from one interval is a proper prefix of another: the
+    least usable arc under that key lies leftmost.  The two top arcs often
+    share their own walk; then only the opposite walks tell them apart.
+    """
+    return [
+        (y - x) % mod if a == UP else (x - y) % mod
+        for x, a, y in zip(walk[::2], walk[1::2], walk[2::2])
+    ]
 
 
 def emit_slide_word(arc: tuple[int, tuple], s: CuttingSequence) -> BraidWord:

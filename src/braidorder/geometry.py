@@ -11,11 +11,10 @@ interval crossings at odd values 2k+1 (see :mod:`braidorder.cutseq`).
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import struct
 
-from .cutseq import DOWN, UP, CuttingSequence, _positions, _require_reduced
+from .cutseq import DOWN, UP, CuttingSequence, _require_reduced
 from .words import _brief, _setattr, _Value
 
 # A walk key is packed as big-endian unsigned 2-byte entries, so keys compare
@@ -32,13 +31,12 @@ class AmbiguityError(ValueError):
     """The comparison walks cannot decide: no disjoint realization exists."""
 
 
-def _walk_keys(letters, mod: int) -> tuple[list[int], list[int], tuple[bytes, ...], bool]:
+def _walk_keys(letters, mod: int) -> tuple[list[int], tuple[bytes, ...], bool]:
     """Everything the comparison walks read, in one pass over the letters.
 
-    Returns ``(holes, offsets, keys, reduced)``: the positions of the
-    holes, in order; for each hole, the byte offset in ``keys`` of the
-    arrows after it; four packed arrays of one entry per arrow; and whether
-    no reduction rule fires.  The arrow between x and y has the turning
+    Returns ``(holes, keys, reduced)``: the positions of the holes, in
+    order; four packed arrays of one entry per arrow; and whether no
+    reduction rule fires.  The arrow between x and y has the turning
     entry ``e`` of a walk passing it rightwards (y - x through an upper
     arrow, x - y through a lower one, modulo mod = 2(n+1)) and ``mod - e``
     of one passing it leftwards.  ``keys`` holds the rightward entries in
@@ -56,7 +54,7 @@ def _walk_keys(letters, mod: int) -> tuple[list[int], list[int], tuple[bytes, ..
     (absorption, merge) or holes 2 apart (straighten), or after a crossing
     after an equal arrow (collapse).
     """
-    holes, offsets, right = [], [], []
+    holes, right = [], []
     reduced = True
     for q, x in enumerate(letters):
         if x < 0:
@@ -67,17 +65,16 @@ def _walk_keys(letters, mod: int) -> tuple[list[int], list[int], tuple[bytes, ..
             right.append(e % mod if x == UP else -e % mod)
         elif not x & 1:
             holes.append(q)
-            offsets.append(2 * len(right))
     fmt = _ENTRY % len(right)
     forward = struct.pack(fmt, *right)
     backward = struct.pack(fmt, *[mod - e for e in reversed(right)])
     keys = (forward, backward, forward.translate(_COMPLEMENT), backward.translate(_COMPLEMENT))
-    return holes, offsets, keys, reduced
+    return holes, keys, reduced
 
 
-def _entries(letters, holes, offsets, keys, stretches) -> list[tuple[int, bytes, bytes, int]]:
-    """``(value, upper, lower, position)`` of each crossing in ``stretches``,
-    pairs ``(i, positions)`` of crossings between hole i and hole i + 1.
+def _entries(letters, holes, keys) -> list[tuple[int, bytes, bytes, int]]:
+    """``(value, upper, lower, position)`` of every crossing, stretch by
+    stretch between consecutive holes.
 
     ``upper`` is the upper walk's key complemented, ``lower`` the lower
     walk's key.  The upper walk leaves on the side of the ^.
@@ -85,13 +82,13 @@ def _entries(letters, holes, offsets, keys, stretches) -> list[tuple[int, bytes,
     forward, backward, flipped_forward, flipped_backward = keys
     size = len(forward)
     out = []
-    for i, positions in stretches:
-        lo, hi = holes[i], holes[i + 1]
+    offset = 0  # the bytes of the arrows left of hole lo
+    for lo, hi in zip(holes, holes[1:]):
         # the arrow at q sits at byte f + q - 1 of a forward array and at
         # byte r - q - 1 of a backward one
-        f = offsets[i] - lo
-        r = size - offsets[i] + lo
-        for p in positions:
+        f, r = offset - lo, size - offset + lo
+        offset += (hi - lo) // 2 * 2  # two bytes an arrow; adjacent holes have none
+        for p in range(lo + 2, hi, 2):
             if letters[p + 1] == UP:
                 upper, lower = flipped_forward[f + p : f + hi], backward[r - p : r - lo]
             else:
@@ -147,39 +144,21 @@ def occurrence_order(s: CuttingSequence, k: int) -> tuple[int, ...]:
     curves through the same points, so that raises, and so does a key that
     is a proper prefix of the other, which no embedded diagram produces.
 
-    One pass over the L letters packs every arrow's turning entry, two bytes
-    each, for both reading directions, plain and complemented
-    (:func:`_walk_keys`); each walk's key is then a contiguous byte slice of
-    one of those arrays.
-    The m crossings are sorted once by their keys, compared as bytes, and
-    only adjacent pairs are checked, which is as strong as checking all
-    pairs (see :func:`_sort_crossings`): O(L) for the pass and O(m log m)
-    key comparisons, plus slicing each key, which costs its length in
-    bytes: twice the number of arrows between its crossing and the nearest
-    hole.
+    It is :func:`validate`'s key pass filtered to one interval, and pays
+    for that whole pass: O(L) on L letters to pack every arrow's turning
+    entries (:func:`_walk_keys`), plus slicing every crossing's keys
+    (:func:`_entries`).  The m crossings of (k, k+1) are sorted by their
+    keys, compared as bytes, and only adjacent pairs are checked, which is
+    as strong as checking all pairs (see :func:`_sort_crossings`).
     """
     if type(k) is not int:  # 1.5 would read a hole's position, True interval 1
         raise ValueError(f"interval must be an int, got {_brief(k)}")
     _require_reduced(s)
-    return _occurrence_order(s, k)
-
-
-def _occurrence_order(s: CuttingSequence, k: int) -> tuple[int, ...]:
-    """:func:`occurrence_order` of a sequence known to be reduced, such as
-    one the generator action has just made; reducedness is not checked.
-
-    Only interval k is read: its crossings are found by ``tuple.index``,
-    and each one's bracketing holes by bisecting the hole positions.  With
-    fewer than two crossings there is nothing to order and no key array
-    is built."""
     letters = s.letters
-    positions = _positions(letters, 2 * k + 1) if k >= 0 else []
-    if len(positions) < 2:
-        return tuple(positions)
-    holes, offsets, keys, _ = _walk_keys(letters, 2 * (s.n + 1))
-    # a crossing is never first or last, so hole i is to its left
-    stretches = itertools.groupby(positions, key=lambda p: bisect.bisect(holes, p) - 1)
-    return tuple(_sort_crossings(_entries(letters, holes, offsets, keys, stretches)))
+    holes, keys, _ = _walk_keys(letters, 2 * (s.n + 1))
+    value = 2 * k + 1
+    entries = _entries(letters, holes, keys)
+    return tuple(_sort_crossings([e for e in entries if e[0] == value]))
 
 
 class Validation(_Value):
@@ -285,7 +264,7 @@ def validate(s: CuttingSequence) -> Validation:
     letters, plus slicing the keys, linear in their total length in bytes.
     """
     letters = s.letters
-    holes, offsets, keys, reduced = _walk_keys(letters, 2 * (s.n + 1))
+    holes, keys, reduced = _walk_keys(letters, 2 * (s.n + 1))
     if not reduced:
         return Validation(False, "sequence is not reduced")
     crossed = None
@@ -301,8 +280,7 @@ def validate(s: CuttingSequence) -> Validation:
                     f"punctures {a} and {b} are joined directly "
                     f"but the interval ({i}, {i + 1}) is crossed",
                 )
-    stretches = ((i, range(p + 2, q, 2)) for i, (p, q) in enumerate(zip(holes, holes[1:])))
-    points = _entries(letters, holes, offsets, keys, stretches)
+    points = _entries(letters, holes, keys)
     points += [(letters[h], b"", b"", h) for h in holes]
     try:
         order = _sort_crossings(points)

@@ -288,3 +288,23 @@ def test_parse_sequence_agreement_shows_what_each_side_gave(monkeypatch):
     for text in differ:
         assert "_01" in text
         assert "parent ('InvalidSequenceError', \"bad token: '_01'\"), change (" in text
+
+
+def test_slide_agreement_of_a_checkout_with_itself():
+    libs = local_libs("braidorder_slides_self")
+    differ, slides, tied = ab_inprocess.slide_agreement(libs, seed=3, count=300)
+    assert differ == []
+    assert slides > 800 and tied > 50  # the opposite walks break some ties
+
+
+def test_slide_agreement_shows_what_each_side_gave(monkeypatch):
+    # the change side slides along the last usable arc
+    libs = local_libs("braidorder_slides_last")
+    canonical = libs["change"]["braidorder.canonical"]
+    monkeypatch.setattr(
+        canonical, "leftmost_useful_subword", lambda s: canonical.find_useful_subwords(s)[-1]
+    )
+    differ, slides, _ = ab_inprocess.slide_agreement(libs, seed=3, count=300)
+    assert 100 < len(differ) < slides
+    for text in differ:
+        assert ", change (" in text and "\n    parent (" in text

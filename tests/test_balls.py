@@ -12,7 +12,10 @@ grouping is checked against the free-group action of ``oracle``, which is
 independent of them.  Then each class must have one canonical word, and
 the braids, sorted by ``compare``, must be ordered alike by
 ``compare_sequences`` on their cutting sequences, each of which
-``validate`` accepts.
+``validate`` accepts.  On every word the handle sign of ``tests/referee.py``
+must be ``sign``; right multiplication by each generator must keep every
+pair of sorted neighbours in order; and each class's canonical word must
+be its own canonical word.
 """
 
 import collections
@@ -21,10 +24,10 @@ import functools
 import pytest
 
 from braidorder import BraidWord, Ordering, canonical_form, compare, compare_sequences, validate
-from braidorder import braid_equal, word_to_cutseq
+from braidorder import braid_equal, sign, word_to_cutseq
 from braidorder.oracle import artin_action
 from braidorder.order import _act_letters
-from referee import is_sigma_consistent
+from referee import handle_sign, is_sigma_consistent
 
 # (strands, radius, words, braids)
 BALLS = [(3, 7, 4_373, 1_233), (4, 5, 4_687, 1_579)]
@@ -86,3 +89,25 @@ def test_sorted_braids_are_ordered_alike_by_their_sequences(ball):
         assert validate(s).ok, s
     for s, t in zip(sequences, sequences[1:]):
         assert compare_sequences(s, t) is Ordering.LESS, (s, t)
+
+
+def test_the_handle_sign_is_the_sign_of_every_word(ball):
+    for words in ball:
+        for w in words:
+            assert handle_sign(w) == sign(w), w
+
+
+def test_right_multiplication_keeps_sorted_neighbours_in_order(ball):
+    ranked = sorted((words[0] for words in ball), key=functools.cmp_to_key(
+        lambda a, b: compare(a, b).value))
+    n = ranked[0].n
+    for k in (*range(1, n), *range(1 - n, 0)):
+        generator = BraidWord(n, (k,))
+        for a, b in zip(ranked, ranked[1:]):
+            assert compare(a * generator, b * generator) is Ordering.LESS, (a, b, k)
+
+
+def test_the_canonical_word_of_every_class_is_its_own(ball):
+    for words in ball:
+        form = canonical_form(words[0]).word
+        assert canonical_form(form).word == form, words[0]

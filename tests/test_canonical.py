@@ -32,7 +32,7 @@ from braidorder.cutseq import (
     puncture_walk,
     trivial_sequence,
 )
-from braidorder.geometry import _occurrence_order, occurrence_order
+from braidorder.geometry import occurrence_order
 from braidorder.order import Ordering
 from braidorder.words import format_word, free_reduce
 from conftest import STRAND_REGIMES, insert_identity, random_word
@@ -162,6 +162,24 @@ def test_leftmost_useful_subword_matches_the_read_everything_reference(rng):
     assert crossing_wins > 20
 
 
+def test_leftmost_useful_subword_matches_the_reference_on_every_slide():
+    # the two top arcs often share their own walk; then only the walks on
+    # the other side of their crossings tell them apart
+    rng = random.Random(27)
+    slides = tied = 0
+    for _ in range(1_000):
+        s = word_to_cutseq(random_word(rng, rng.randint(2, 8), max_len=14))
+        while not s.is_trivial():
+            u = leftmost_useful_subword(s)
+            assert u == reference_leftmost_useful_subword(s), str(s)
+            arcs = find_useful_subwords(s)
+            walks = [walk for _, walk in arcs]
+            tied += not hole_anchored(arcs[0]) and len(set(walks)) < len(walks)
+            slides += 1
+            s = cutseq._act_word(s, canonical._slide_letters(u[1]))
+    assert slides > 2_000 and tied >= 200
+
+
 def test_canonical_form_checks_no_sequence_for_reducedness(monkeypatch):
     # every sequence of the slide loop comes from the generator action
     calls = []
@@ -170,15 +188,18 @@ def test_canonical_form_checks_no_sequence_for_reducedness(monkeypatch):
         calls.append(s)
         return is_reduced(s)
 
-    monkeypatch.setattr(cutseq, "is_reduced", counted)  # geometry's refusal calls it too
-    orders = []
+    monkeypatch.setattr(cutseq, "is_reduced", counted)  # every refusal calls it
+    slid = []
+    leftmost = canonical.leftmost_useful_subword
     monkeypatch.setattr(
-        canonical, "_occurrence_order", lambda s, k: orders.append(s) or _occurrence_order(s, k)
+        canonical, "leftmost_useful_subword", lambda s: slid.append(s) or leftmost(s)
     )
     for text in ("1 1 2 -1 2 2", "-2 -1 2 2 2 -1 2 -1", "1 2 1 1 2 -3 2 2 1"):
         canonical_form(parse_word(text, 4))
-    assert orders  # some slide read the crossings' order
     assert calls == []
+    ranked = [find_useful_subwords(s) for s in slid]
+    # some slide ranked two or more crossing arcs
+    assert any(len(arcs) >= 2 and not hole_anchored(arcs[0]) for arcs in ranked)
 
 
 def test_canonical_equals_input_as_braid(rng):

@@ -273,3 +273,10 @@ def test_the_referee_stays_independent():
         or "referee" in {part for name in imports(path) for part in name.split(".")}
     ]
     assert users == []
+
+
+def test_the_slide_loop_does_not_lean_on_geometry():
+    # the slide loop ranks its usable arcs by their own walks, with no
+    # interval order from geometry
+    source = Path(oracle.__file__).parent
+    assert "geometry" not in package_imports(source / "canonical.py")

@@ -2,6 +2,7 @@
 words: its known steps, and seeded differentials against ``sign``,
 ``compare`` and ``braid_equal``."""
 
+import functools
 import random
 
 import pytest
@@ -86,3 +87,24 @@ def test_handle_reduction_agrees_with_braid_equal_and_compare_on_scrambled_pairs
         assert ORDERINGS[handle_sign(quotient).kind] == compare(a, b), (str(a), str(b))
         equal += braid_equal(a, b)
     assert equal == 50
+
+
+def test_compare_is_transitive_and_right_invariant_on_long_words():
+    # three random words sorted by compare must be in order pairwise, and
+    # stay so with a fourth word appended; the handle sign of each
+    # comparison's quotient referees its answer
+    rng = random.Random(1)
+
+    def refereed(a, b):
+        answer = compare(a, b)
+        assert ORDERINGS[handle_sign(a * b.inverse()).kind] is answer, (str(a), str(b))
+        return answer
+
+    for _ in range(40):
+        n = rng.randint(3, 10)
+        a, b, c, d = (random_word(rng, n, max_len=200, min_len=10) for _ in range(4))
+        by_compare = functools.cmp_to_key(lambda x, y: compare(x, y).value)
+        low, mid, high = sorted((a, b, c), key=by_compare)
+        assert refereed(low, mid) is refereed(mid, high) is Ordering.LESS
+        assert refereed(low, high) is Ordering.LESS
+        assert refereed(low * d, high * d) is Ordering.LESS
