@@ -1,25 +1,29 @@
 """Interleaved cold starts of two checkouts, timed as ``bench/run.py`` times them.
 
     python3 scripts/cold_start.py PARENT CHANGE --runs 30
+    python3 scripts/cold_start.py PARENT CHANGE --code \
+        "from braidorder.cli import main; main(['sign', '1 -2'])"
 
 PARENT and CHANGE are two checkouts of the repository.  Each round starts
-one fresh interpreter on ``COLD_START_CODE`` in each checkout, the side that
-goes first alternating from round to round.  A start is timed by
-``cold_start()`` of the checkout's own ``bench/run.py``, so the code run,
-the environment (the checkout's ``src/`` on ``PYTHONPATH``) and the working
-directory are the benchmark's; each side starts once untimed first.  It
-prints each side's best time (what ``setup_s`` reports) and quartiles, the
-change/parent ratio of the best times, the modules ``COLD_START_CODE`` adds
-over a bare interpreter on each side (so a change in the time names its
-cause), and whether
+one fresh interpreter on the benchmark's ``COLD_START_CODE`` (or on the
+code of ``--code``, say a whole command) in each checkout, the side that
+goes first alternating from round to round; what the code prints goes to
+the null device.  A start is timed by ``cold_start()`` of the checkout's
+own ``bench/run.py``, so the environment (the checkout's ``src/`` on
+``PYTHONPATH``) and the working directory are the benchmark's; each side
+starts once untimed first.  It prints each side's best time (what
+``setup_s`` reports) and quartiles, the change/parent ratio of the best
+times, the modules the code adds over a bare interpreter on each side (so
+a change in the time names its cause), and whether
 ``PYTHONDONTWRITEBYTECODE`` is set: then no bytecode cache is written, each
-start compiles all of ``src/braidorder``, and the size of the source shows
-in the time.  Standard library only; ``bench/`` is read, never written.
+start compiles every module of ``src/braidorder`` that it imports, and the
+size of that source shows in the time.  Standard library only; ``bench/`` is read, never written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.util
 import os
 import statistics
@@ -43,18 +47,35 @@ def added_modules(src: Path, code: str) -> list[str]:
     """The modules that running ``code`` with ``src`` first on ``PYTHONPATH``
     adds to those of a bare interpreter, sorted.  The bare interpreter's
     site hooks may import packages of their own; only the difference is
-    ``code``'s."""
+    ``code``'s, whatever ``code`` prints before them."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
 
     def modules(prefix: str) -> set[str]:
-        done = subprocess.run([sys.executable, "-c", f"{prefix}\nimport sys; print(*sys.modules)"],
-                              env=env, capture_output=True, text=True)
+        listing = f"{prefix}\nimport sys; print(); print(*sys.modules)"
+        done = subprocess.run([sys.executable, "-c", listing], env=env, capture_output=True,
+                              text=True)
         if done.returncode:
             raise RuntimeError(done.stderr)
-        return set(done.stdout.split())
+        return set(done.stdout.splitlines()[-1].split())
 
     return sorted(modules(code) - modules(""))
+
+
+@contextlib.contextmanager
+def quiet_stdout():
+    """Point file descriptor 1, which the started interpreters inherit, at
+    the null device for the duration."""
+    sys.stdout.flush()
+    saved = os.dup(1)
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, 1)
+    os.close(null)
+    try:
+        yield
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
 
 
 def module_lines(added: dict[str, list[str]]) -> list[str]:
@@ -74,20 +95,24 @@ def summary(times: dict[str, list[float]]) -> tuple[list[tuple], float]:
     return rows, min(times["change"]) / min(times["parent"])
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--runs", type=int, default=30)
-    args = parser.parse_args()
+    parser.add_argument("--code", help="the code to start (default: the benchmark's "
+                                       "COLD_START_CODE of each checkout)")
+    args = parser.parse_args(argv)
     benches = {side: load_bench_run(getattr(args, side).resolve(), side) for side in SIDES}
-    for bench in benches.values():
-        bench.cold_start()
-
     times: dict[str, list[float]] = {side: [] for side in SIDES}
-    for i in range(args.runs):
-        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            times[side].append(benches[side].cold_start())
+    with quiet_stdout():
+        for bench in benches.values():
+            if args.code is not None:
+                bench.COLD_START_CODE = args.code  # cold_start() reads it at each call
+            bench.cold_start()
+        for i in range(args.runs):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                times[side].append(benches[side].cold_start())
 
     flag = os.environ.get("PYTHONDONTWRITEBYTECODE")
     print(f"{args.runs} cold starts per side of {benches['change'].COLD_START_CODE!r}; "

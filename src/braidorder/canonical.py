@@ -26,14 +26,10 @@ from .cutseq import (
     puncture_walk,
     word_to_cutseq,
 )
-from .words import BraidWord, SignResult, _setattr, _Value
+from .words import BraidWord, CanonicalError, SignResult, _setattr, _Value
 
 
 _SLIDES_PER_CROSSING = 10  # the slide cap: this * (1 + crossings of the first diagram)
-
-
-class CanonicalError(RuntimeError):
-    """The slide loop contradicted an invariant; always a bug, never data."""
 
 
 def _critical_stretch(s: CuttingSequence) -> tuple[int, int]:

@@ -10,12 +10,8 @@ from __future__ import annotations
 
 import sys
 
-from .canonical import CanonicalError, canonical_form
-from .cutseq import InvalidSequenceError, RewriteError
-from .cutseq import format_sequence, parse_sequence, word_to_cutseq
-from .geometry import AmbiguityError, validate
-from .order import Ordering, braid_equal, compare, sign
-from .words import _NUMERAL, BraidWord, WordError, _brief, format_word, parse_letters, parse_word
+from .words import _NUMERAL, AmbiguityError, BraidWord, CanonicalError, InvalidSequenceError
+from .words import RewriteError, WordError, _brief, format_word, parse_letters, parse_word
 
 
 def _words(n: int | None, *texts: str) -> list[BraidWord]:
@@ -31,12 +27,16 @@ def _words(n: int | None, *texts: str) -> list[BraidWord]:
 
 def _sign(strands, word):
     """Whether WORD is a positive, negative, or trivial braid."""
+    from .order import sign
+
     res = sign(*_words(strands, word))
     return {"kind": res.kind, "index": res.index}, str(res)
 
 
 def _compare(strands, left, right):
     """Order LEFT against RIGHT: prints <, =, or >."""
+    from .order import Ordering, compare
+
     order = compare(*_words(strands, left, right))
     out = {Ordering.LESS: "<", Ordering.EQUAL: "=", Ordering.GREATER: ">"}[order]
     return {"order": out}, out
@@ -44,6 +44,8 @@ def _compare(strands, left, right):
 
 def _canonical(strands, word):
     """The canonical form of WORD."""
+    from .canonical import canonical_form
+
     res = canonical_form(*_words(strands, word))
     text, kind, index = format_word(res.word), res.sign.kind, res.sign.index
     return {"word": text, "kind": kind, "index": index, "iterations": res.iterations}, text
@@ -51,6 +53,8 @@ def _canonical(strands, word):
 
 def _cutseq(strands, word):
     """The reduced cutting sequence of WORD's curve diagram."""
+    from .cutseq import format_sequence, word_to_cutseq
+
     seq = word_to_cutseq(*_words(strands, word))
     text = format_sequence(seq)
     return {"sequence": text, "strands": seq.n}, text
@@ -58,6 +62,9 @@ def _cutseq(strands, word):
 
 def _validate(strands, sequence):
     """Whether SEQUENCE is realized by an actual curve diagram."""
+    from .cutseq import parse_sequence
+    from .geometry import validate
+
     res = validate(parse_sequence(sequence))
     return {"valid": res.ok, "reason": res.reason}, "valid" if res.ok else f"invalid: {res.reason}"
 
@@ -66,11 +73,14 @@ def _equal(strands, left, right):
     """Whether LEFT and RIGHT are the same braid.
 
     By Dynnikov coordinates, in time quadratic in the word lengths."""
+    from .order import braid_equal
+
     res = braid_equal(*_words(strands, left, right))
     return {"equal": res}, "true" if res else "false"
 
 
-# name: (function of -n and the arguments to (JSON, text), arguments, whether -n applies)
+# name: (function of -n and the arguments to (JSON, text), arguments, whether -n applies);
+# each function imports the modules it runs, so a command compiles only those
 COMMANDS = {
     "sign": (_sign, ("WORD",), True),
     "compare": (_compare, ("LEFT", "RIGHT"), True),

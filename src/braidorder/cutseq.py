@@ -28,22 +28,15 @@ from __future__ import annotations
 
 import functools
 
-from .words import MAX_STRANDS, BraidWord, SignResult, _brief, _check_strands, free_reduce
-from .words import _NUMERAL, _TABLE_STRANDS, _setattr, _unchecked, _Value
+from .words import MAX_STRANDS, BraidWord, InvalidSequenceError, RewriteError, SignResult
+from .words import _NUMERAL, _TABLE_STRANDS, _brief, _check_strands, _setattr, _unchecked, _Value
+from .words import free_reduce
 
 UP = -1
 DOWN = -2
 _TOKENS = {"^": UP, "v": DOWN}
 _MAX_DIGITS = len(str(MAX_STRANDS + 1))  # of the largest value, hole n + 1
 _MISSING_LISTED = 8  # holes named in a "missing holes" error
-
-
-class InvalidSequenceError(ValueError):
-    """The letters do not form a structurally well-formed cutting sequence."""
-
-
-class RewriteError(RuntimeError):
-    """The generator action produced a malformed sequence: an internal bug."""
 
 
 def _check_well_formed(n: int, letters, screened: bool = False) -> None:

@@ -15,7 +15,7 @@ import itertools
 import struct
 
 from .cutseq import DOWN, UP, CuttingSequence, _require_reduced
-from .words import _brief, _setattr, _Value
+from .words import AmbiguityError, _brief, _setattr, _Value
 
 # A walk key is packed as big-endian unsigned 2-byte entries, so keys compare
 # as bytes (memcmp) exactly as the entry lists would, prefixes included.  An
@@ -25,10 +25,6 @@ from .words import _brief, _setattr, _Value
 # which reverses the order of keys without a prefix relation between them.
 _ENTRY = ">%dH"
 _COMPLEMENT = bytes(range(255, -1, -1))
-
-
-class AmbiguityError(ValueError):
-    """The comparison walks cannot decide: no disjoint realization exists."""
 
 
 def _walk_keys(letters, mod: int) -> tuple[list[int], tuple[bytes, ...], bool]:

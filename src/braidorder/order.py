@@ -39,13 +39,11 @@ from .cutseq import (
     DOWN,
     UP,
     CuttingSequence,
-    InvalidSequenceError,
-    RewriteError,
     _reduce_letters,
     _require_reduced,
 )
-from .geometry import AmbiguityError
-from .words import BraidWord, SignResult, WordError
+from .words import AmbiguityError, BraidWord, InvalidSequenceError, RewriteError, SignResult
+from .words import WordError
 
 
 class Ordering(enum.Enum):

@@ -1,4 +1,5 @@
-"""Braid words over the twist generators: values, text form, free reduction.
+"""Braid words over the twist generators: values, text form, free reduction,
+and the package's error classes.
 
 A word is a sequence of nonzero integers: the letter k > 0 is the positive
 half-twist of strands k and k+1, and -k is its inverse.  The empty word is
@@ -20,6 +21,24 @@ MAX_STRANDS = 10_000
 
 class WordError(ValueError):
     """A braid word, or its textual form, is malformed."""
+
+
+# The other modules' errors live here too, so that the command line maps
+# every error to its exit code without importing the modules that raise them.
+class InvalidSequenceError(ValueError):
+    """The letters do not form a structurally well-formed cutting sequence."""
+
+
+class RewriteError(RuntimeError):
+    """The generator action produced a malformed sequence: an internal bug."""
+
+
+class AmbiguityError(ValueError):
+    """The comparison walks cannot decide: no disjoint realization exists."""
+
+
+class CanonicalError(RuntimeError):
+    """The slide loop contradicted an invariant; always a bug, never data."""
 
 
 def _check_strands(n, error: type[ValueError]) -> None:

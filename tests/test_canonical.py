@@ -292,8 +292,10 @@ def test_every_slide_letter_is_a_generator_of_its_strands(monkeypatch):
 
 
 def test_leftmost_useful_subword_matches_the_reference_where_one_arc_is_usable():
-    # the trimmed search skips the crossings' real-line order when only one
-    # crossing arc is usable; many such diagrams have two or more crossings
+    # min() returns a lone usable crossing arc without ranking it by its
+    # walks, while the reference orders every crossing of the interval; at
+    # least 100 of these diagrams have such a lone arc among two or more
+    # crossings of the critical interval
     rng = random.Random(40951)
     diagrams = lone_arcs = 0
     while diagrams < 2_000:

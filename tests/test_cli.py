@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from braidorder import cli
+import braidorder
+from braidorder import canonical, cli
 from braidorder.canonical import CanonicalError
 from braidorder.cutseq import RewriteError
 from braidorder.geometry import AmbiguityError
@@ -338,7 +339,7 @@ def test_internal_error_exits_3_with_one_line(monkeypatch, error):
     def broken(*args, **kwargs):
         raise error("invariant broken")
 
-    monkeypatch.setattr(cli, "canonical_form", broken)
+    monkeypatch.setattr(canonical, "canonical_form", broken)
     r = run("canonical", "1 2")
     assert r.exit_code == 3
     assert r.stdout == ""
@@ -362,3 +363,54 @@ def test_import_adds_only_the_standard_library():
     foreign = {name.partition(".")[0] for name in added} - {"braidorder"} - sys.stdlib_module_names
     assert not foreign, sorted(foreign)
     assert not {"dataclasses", "inspect", "json"} & set(added), added
+
+
+def braidorder_modules(code):
+    """The package's modules that running ``code`` in a fresh interpreter
+    imports."""
+    added = cold_start.added_modules(Path(cli.__file__).resolve().parents[1], code)
+    return {name for name in added if name.partition(".")[0] == "braidorder"}
+
+
+def test_the_start_compiles_only_the_command_line_and_words():
+    added = cold_start.added_modules(Path(cli.__file__).resolve().parents[1],
+                                     "import braidorder, braidorder.cli")
+    assert added == ["__future__", "braidorder", "braidorder.cli", "braidorder.words"]
+
+
+@pytest.mark.parametrize(
+    "args, runs",
+    [
+        (["sign", "1 -2"], {"order", "cutseq"}),
+        (["compare", "1", "-2"], {"order", "cutseq"}),
+        (["equal", "1 2 1", "2 1 2"], {"order", "cutseq"}),
+        (["canonical", "1 -2"], {"cutseq", "canonical"}),
+        (["cutseq", "1 -2"], {"cutseq"}),
+        (["validate", "_0 ^ _2 _1 v _3"], {"cutseq", "geometry"}),
+    ],
+    ids=["sign", "compare", "equal", "canonical", "cutseq", "validate"],
+)
+def test_each_command_imports_only_the_modules_it_runs(args, runs):
+    code = f"from braidorder.cli import main; main({args!r})"
+    expected = {"braidorder", "braidorder.cli", "braidorder.words"}
+    assert braidorder_modules(code) == expected | {f"braidorder.{name}" for name in runs}
+
+
+def test_every_public_name_loads_from_its_home_module():
+    namespace = {}
+    exec("from braidorder import *", namespace)
+    for name in braidorder.__all__:
+        value = getattr(braidorder, name)
+        assert value.__module__.startswith("braidorder."), name
+        assert getattr(sys.modules[value.__module__], name) is value, name
+        assert namespace[name] is value and vars(braidorder)[name] is value, name
+    errors = [name for name in braidorder.__all__ if name.endswith("Error")]
+    assert {getattr(braidorder, name).__module__ for name in errors} == {"braidorder.words"}
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        braidorder.no_such_name
+
+
+def test_a_module_of_the_public_names_is_an_attribute_after_import_braidorder():
+    code = "import braidorder; braidorder.geometry.validate"
+    assert braidorder_modules(code) == {"braidorder", "braidorder.cutseq",
+                                        "braidorder.geometry", "braidorder.words"}

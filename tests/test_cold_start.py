@@ -49,3 +49,17 @@ def test_added_modules_are_those_the_code_imports():
     assert cold_start.added_modules(ROOT / "src", "pass") == []
     added = cold_start.added_modules(ROOT / "src", "import json")
     assert "json" in added and "json.decoder" in added and "braidorder" not in added
+
+
+def test_code_replaces_the_benchmarks_and_its_output_is_not_shown(capfd):
+    code = "from braidorder.cli import main; main(['cutseq', '1 -2'])"
+    assert cold_start.main([str(ROOT), str(ROOT), "--runs", "2", "--code", code]) == 0
+    out = capfd.readouterr().out
+    assert f"2 cold starts per side of {code!r}" in out
+    assert "parent adds" in out and " braidorder.cutseq " in out
+    assert "_0 ^" not in out  # the command's answer went to the null device
+
+
+def test_added_modules_skip_what_the_code_prints():
+    added = cold_start.added_modules(ROOT / "src", "print('not a module')")
+    assert added == []

@@ -33,10 +33,11 @@ def unused_definitions(root):
 
     A definition is reached when ``braidorder.__all__`` holds its name, a
     file of ``bench/`` names it, or a reached definition or a module's
-    top-level code (imports aside) reads its name.  Names are matched
-    without their modules, so a name that one module reaches keeps its
-    namesakes too.  ``scripts/`` does not count as a user."""
-    definitions, roots = {}, set(braidorder.__all__)
+    top-level code (imports aside) reads its name.  A module-level
+    ``__getattr__`` is reached too: Python calls it (PEP 562).  Names are
+    matched without their modules, so a name that one module reaches keeps
+    its namesakes too.  ``scripts/`` does not count as a user."""
+    definitions, roots = {}, {"__getattr__", *braidorder.__all__}
     for path in sorted((root / "src" / "braidorder").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
